@@ -6,7 +6,6 @@ decision procedure for residual automata, anchoring constructions, and
 an active-learning loop that converges exactly on residual languages.
 """
 
-from .atoms import Atom, FinitePermutation, SupportSet, apply, support
 from .orbits import (
     AlphabetSpec,
     DEFAULT_ALPHABET,
@@ -17,9 +16,7 @@ from .orbits import (
     canonicalize,
     count_partial_permutations,
     enumerate_word_orbits,
-    minimal_orbits,
     parse_word,
-    render_word,
     split_into_a_orbits,
 )
 from .automaton import (
@@ -44,12 +41,10 @@ from .automaton import (
 from .rows import (
     ColumnSet,
     Row,
-    RowFamily,
     is_generated_by,
     is_join_irreducible,
     join_below,
     row_leq,
-    row_value,
 )
 from .learner import (
     Hypothesis,

@@ -569,9 +569,7 @@ def union(a1: SymbolicAutomaton, a2: SymbolicAutomaton) -> SymbolicAutomaton:
     taken = {q.name for q in a1.states}
     rename = {}
     for q in a2.states:
-        name = q.name
-        while name in taken:
-            name += "'"
+        name = _unused_name(q.name, taken)
         rename[q.name] = name
         taken.add(name)
     states = a1.states + tuple(StateOrbit(rename[q.name], q.dimension) for q in a2.states)
@@ -588,6 +586,13 @@ def union(a1: SymbolicAutomaton, a2: SymbolicAutomaton) -> SymbolicAutomaton:
         set(a1.final) | {rename[n] for n in a2.final},
         transitions,
     )
+
+
+def _unused_name(name, taken):
+    """The first of name, name', name'', ... that is not taken."""
+    while name in taken:
+        name += "'"
+    return name
 
 
 def reverse(aut: SymbolicAutomaton) -> SymbolicAutomaton:
@@ -661,20 +666,19 @@ def anchor(aut: SymbolicAutomaton) -> SymbolicAutomaton:
 def anchor_top(aut: SymbolicAutomaton) -> SymbolicAutomaton:
     """The anchored twin that is universal on the original alphabet.
 
-    On top of `anchor`, a fresh 0-dimensional state `top` is initial and
-    final and loops on every original letter orbit; the original initial
-    states are dropped from the initial set.
+    On top of `anchor`, a fresh 0-dimensional state `top` (primed until
+    its name is unused) is initial and final and loops on every original
+    letter orbit; the original initial states are dropped from the
+    initial set.
     """
     alphabet, anchor_states, lines = _anchored_parts(aut)
-    if "top" in {q.name for q in aut.states}:
-        raise ValueError("state name 'top' collides")
-    top = StateOrbit("top", 0)
+    top = _unused_name("top", {q.name for q in aut.states + anchor_states})
     return SymbolicAutomaton(
         alphabet,
-        aut.states + anchor_states + (top,),
-        {q.name for q in anchor_states} | {"top"},
-        set(aut.final) | {"top"},
-        aut.transitions + lines + tuple(_pattern_loop_lines("top", aut.alphabet)),
+        aut.states + anchor_states + (StateOrbit(top, 0),),
+        {q.name for q in anchor_states} | {top},
+        set(aut.final) | {top},
+        aut.transitions + lines + tuple(_pattern_loop_lines(top, aut.alphabet)),
     )
 
 

@@ -19,6 +19,7 @@ from .orbits import (
 )
 from .automaton import (
     AutomatonFormatError,
+    SimulationLimitError,
     accepts,
     anchor,
     anchor_top,
@@ -27,7 +28,7 @@ from .automaton import (
     render,
 )
 from .learner import LearnBudget, learn
-from .teacher import for_language
+from .teacher import for_corpus, for_language
 from . import corpus
 
 
@@ -42,12 +43,12 @@ def _load_target(spec: str):
             return corpus.get(spec[len("builtin:"):])
         except KeyError as e:
             raise UsageError(str(e)) from None
-    try:
-        with open(spec) as fh:
-            text = fh.read()
-    except OSError as e:
-        raise UsageError(f"cannot read {spec}: {e}") from None
-    return parse(text)
+    return _read_automaton(spec)
+
+
+def _read_automaton(path: str):
+    with open(path) as fh:
+        return parse(fh.read())
 
 
 def _target_automaton(spec: str):
@@ -90,7 +91,7 @@ def _cmd_anchor(args) -> int:
 
 def _cmd_orbits(args) -> int:
     if args.alphabet:
-        alphabet = parse(open(args.alphabet).read()).alphabet
+        alphabet = _read_automaton(args.alphabet).alphabet
     else:
         alphabet = DEFAULT_ALPHABET
     n = len(enumerate_word_orbits(alphabet, args.max_len))
@@ -110,12 +111,7 @@ def _cmd_learn(args) -> int:
         known = getattr(target, "char_length", None)
         eq_depth = 2 * known + 1 if known is not None else args.max_l + 1
     if isinstance(target, corpus.CorpusEntry):
-        teacher = for_language(
-            target.automaton.alphabet,
-            predicate=target.predicate,
-            eq_depth=eq_depth,
-            name=target.name,
-        )
+        teacher = for_corpus(target.name, eq_depth)
     else:
         teacher = for_language(
             target.alphabet, automaton=target, eq_depth=eq_depth
@@ -217,7 +213,8 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (UsageError, AutomatonFormatError, ValueError) as e:
+    except (UsageError, AutomatonFormatError, ValueError, OSError,
+            SimulationLimitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

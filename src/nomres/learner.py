@@ -15,13 +15,13 @@ import time
 from dataclasses import dataclass, asdict
 from typing import Optional
 
-from .atoms import apply, fresh_atom
 from .orbits import (
     Word,
     EMPTY_WORD,
     canonicalize,
     canonicalize_with_perm,
     enumerate_word_orbits,
+    fresh_atom,
     letter_patterns,
     partial_injections,
     split_into_a_orbits,
@@ -30,11 +30,10 @@ from .rows import (
     ColumnSet,
     Row,
     dedup_by_orbit,
+    first_difference,
     is_join_irreducible,
     orbit_equal,
     row_leq,
-    _joint_instances,
-    _placed_leq,
     _realize,
 )
 from .automaton import (
@@ -137,7 +136,7 @@ class ObservationTable:
         if cached is None:
             pattern, perm = canonicalize_with_perm(w)
             base = self._rows[pattern].reduced()
-            cached = base if perm.is_identity() else base.apply_perm(perm)
+            cached = base if pattern == w else base.apply_perm(perm)
             self._rowof_cache[w] = cached
         return cached
 
@@ -214,27 +213,31 @@ class ObservationTable:
             self._leq_cache[(w1, w2)] = cached
         return cached
 
-    def find_consistency_defect(self):
-        """A tuple (s1, s2, a, e) with row(s1) <= row(s2) yet a.e telling
-        their extensions apart; placements of s2 relative to s1 are
-        searched so that overlapping supports are covered."""
-        self._require_filled()
+    def _ordered_pairs(self):
+        """Every (s1, s2c) with s1 in S, s2c a placement of some s2 in S
+        relative to s1, and row(s1) <= row(s2c), in search order;
+        placements cover overlapping supports."""
         labels = self.s_labels()
-        tags = sorted(self.alphabet.tags)
         for s1 in labels:
             sup1 = sorted(frozenset(s1.atoms()))
             for s2 in labels:
                 sup2 = sorted(frozenset(s2.atoms()))
                 for inj in partial_injections(sup2, sup1):
-                    perm, _ = _realize(inj, sup2, sup1)
-                    s2c = apply(perm, s2)
-                    if s2c == s1:
-                        continue
-                    if not self._label_leq(s1, s2c):
-                        continue
-                    defect = self._extension_defect(s1, s2c, tags)
-                    if defect is not None:
-                        return defect
+                    s2c = s2.rename(_realize(inj, sup2, sup1))
+                    if self._label_leq(s1, s2c):
+                        yield s1, s2c
+
+    def find_consistency_defect(self):
+        """A tuple (s1, s2, a, e) with row(s1) <= row(s2) yet a.e telling
+        their extensions apart."""
+        self._require_filled()
+        tags = sorted(self.alphabet.tags)
+        for s1, s2c in self._ordered_pairs():
+            if s2c == s1:
+                continue
+            defect = self._extension_defect(s1, s2c, tags)
+            if defect is not None:
+                return defect
         return None
 
     def _extension_defect(self, s1, s2c, tags):
@@ -245,15 +248,9 @@ class ObservationTable:
                     letter = inst[0]
                     w1 = s1 + letter
                     w2 = s2c + letter
-                    if self._label_leq(w1, w2):
-                        continue
-                    r1 = self.row_of(w1)
-                    r2 = self.row_of(w2)
-                    for e in _joint_instances(
-                        self.columns, r1.support_set, r2.support_set
-                    ):
-                        if r1.value(e) and not r2.value(e):
-                            return (s1, s2c, letter, e)
+                    if not self._label_leq(w1, w2):
+                        e = first_difference(self.row_of(w1), self.row_of(w2))
+                        return (s1, s2c, letter, e)
         return None
 
     def consistency_step(self, defect):
@@ -268,18 +265,7 @@ class ObservationTable:
         """Fingerprint of the row preorder on placed S x S pairs; each
         consistency step must strictly refine it."""
         self._require_filled()
-        pairs = set()
-        labels = self.s_labels()
-        for s1 in labels:
-            sup1 = sorted(frozenset(s1.atoms()))
-            for s2 in labels:
-                sup2 = sorted(frozenset(s2.atoms()))
-                for inj in partial_injections(sup2, sup1):
-                    perm, _ = _realize(inj, sup2, sup1)
-                    s2c = apply(perm, s2)
-                    if self._label_leq(s1, s2c):
-                        pairs.add((s1, s2c))
-        return frozenset(pairs)
+        return frozenset(self._ordered_pairs())
 
     # -- counterexamples --------------------------------------------------
 
@@ -347,24 +333,21 @@ class ObservationTable:
                             for inj in partial_injections(
                                 cand.support, sorted(scope)
                             ):
-                                perm, inv = _realize(
+                                placement = _realize(
                                     inj, cand.support, scope | owner_atoms
                                 )
-                                if not self._placed_below_extension(
-                                    cand, perm, inv, w
-                                ):
+                                if first_difference(
+                                    cand, self.row_of(w), placement
+                                ) is not None:
                                     continue
                                 transitions.append(
                                     self._line(name, regs, letter, f"q{j}",
-                                               tuple(perm(a) for a in cand.support))
+                                               tuple(placement[a] for a in cand.support))
                                 )
         automaton = SymbolicAutomaton(
             self.alphabet, states, initial, final, transitions
         )
         return Hypothesis(automaton, provenance)
-
-    def _placed_below_extension(self, cand, perm, inv, w) -> bool:
-        return _placed_leq(cand, perm, inv, self.row_of(w))
 
     @staticmethod
     def _line(src, src_regs, letter, dst, dst_regs):

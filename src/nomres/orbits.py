@@ -1,4 +1,9 @@
-"""Canonical orbit representatives for letters and words.
+"""Atoms, and canonical orbit representatives for letters and words.
+
+Atoms are plain non-negative ints used purely as names: only equality
+between atoms is observable, and every public operation of this library
+gives renaming-invariant results.  A renaming is a plain dict from atoms
+to atoms, injective on the atoms it is applied to (``Word.rename``).
 
 A word orbit (all renamings of a word) is represented by its canonical
 form: atoms relabelled 0, 1, 2, ... in order of first occurrence, which
@@ -16,13 +21,11 @@ import re
 from functools import lru_cache
 from math import comb, factorial
 
-from .atoms import (
-    FinitePermutation,
-    extend_to_permutation,
-    apply,
-    fresh_atom,
-    support,
-)
+
+def fresh_atom(avoid) -> int:
+    """The least atom strictly greater than everything in ``avoid``."""
+    avoid = list(avoid)
+    return max(avoid) + 1 if avoid else 0
 
 
 class AlphabetSpec:
@@ -98,12 +101,6 @@ class Letter:
     def __hash__(self):
         return hash((self.tag, self.atoms))
 
-    def _apply_perm(self, p):
-        return Letter(self.tag, tuple(p(a) for a in self.atoms))
-
-    def _support(self):
-        return frozenset(self.atoms)
-
     def render(self) -> str:
         if not self.atoms:
             return self.tag
@@ -148,11 +145,12 @@ class Word:
         for letter in self.letters:
             yield from letter.atoms
 
-    def _apply_perm(self, p):
-        return Word(l._apply_perm(p) for l in self.letters)
-
-    def _support(self):
-        return frozenset(self.atoms())
+    def rename(self, mapping):
+        """Each atom a replaced by ``mapping.get(a, a)``."""
+        return Word(
+            Letter(l.tag, tuple(mapping.get(a, a) for a in l.atoms))
+            for l in self.letters
+        )
 
     def suffixes(self):
         """All suffixes, longest first, ending with the empty word."""
@@ -174,11 +172,6 @@ class Word:
 
 
 EMPTY_WORD = Word()
-
-# WordPattern / AWordPattern are Words that happen to be in canonical form;
-# the constructors below are the only way the library produces them.
-WordPattern = Word
-AWordPattern = Word
 
 
 _LETTER_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\(([^()]*)\))?$")
@@ -214,11 +207,7 @@ def parse_word(text: str, alphabet: AlphabetSpec | None = None) -> Word:
     return Word(letters)
 
 
-def render_word(w: Word) -> str:
-    return w.render()
-
-
-def canonicalize(w: Word) -> WordPattern:
+def canonicalize(w: Word) -> Word:
     """The orbit-canonical form: atoms become 0, 1, ... by first occurrence."""
     relabel = {}
     letters = []
@@ -233,15 +222,12 @@ def canonicalize(w: Word) -> WordPattern:
 
 
 def canonicalize_with_perm(w: Word):
-    """Canonical form plus a permutation p with ``apply(p, pattern) == w``."""
+    """Canonical form plus a renaming p with ``pattern.rename(p) == w``."""
     pattern = canonicalize(w)
-    mapping = {}
-    for a, b in zip(pattern.atoms(), w.atoms()):
-        mapping[a] = b
-    return pattern, extend_to_permutation(mapping)
+    return pattern, dict(zip(pattern.atoms(), w.atoms()))
 
 
-def a_canonicalize(w: Word, fixed) -> AWordPattern:
+def a_canonicalize(w: Word, fixed) -> Word:
     """Canonical form under permutations fixing ``fixed`` pointwise.
 
     Atoms of ``fixed`` are kept; all others are relabelled, in first
@@ -373,48 +359,3 @@ def split_into_a_orbits(pattern: Word, fixed, fresh_start=None):
             )
         )
     return out
-
-
-def orbit_leq_into(x, y, leq) -> bool:
-    """Does some renaming of x sit below y, i.e. orb(x) <= orb(y)?"""
-    sx = sorted(support(x))
-    sy = sorted(support(y))
-    avoid = set(sx) | set(sy)
-    for inj in partial_injections(sx, sy):
-        mapping = dict(inj)
-        nxt = fresh_atom(avoid)
-        for a in sx:
-            if a not in mapping:
-                mapping[a] = nxt
-                nxt += 1
-        if leq(apply(extend_to_permutation(mapping), x), y):
-            return True
-    return False
-
-
-def minimal_orbits(reps, leq):
-    """Representatives of the minimal orbits of an equivariant partial order.
-
-    ``leq`` compares concrete values; renamings are enumerated here.  By
-    the rigidity of equivariant orders, two comparable orbits that sit
-    below each other are equal, which is how orbit equality is decided.
-    """
-    reps = list(reps)
-    keep = []
-    for i, r in enumerate(reps):
-        dominated = False
-        for j, other in enumerate(reps):
-            if i == j:
-                continue
-            if orbit_leq_into(other, r, leq) and not orbit_leq_into(r, other, leq):
-                dominated = True
-                break
-        if dominated:
-            continue
-        if any(
-            orbit_leq_into(prev, r, leq) and orbit_leq_into(r, prev, leq)
-            for prev in keep
-        ):
-            continue  # same orbit as one already kept
-        keep.append(r)
-    return keep

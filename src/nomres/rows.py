@@ -7,6 +7,15 @@ at the canonical form of e relative to the row's support.  Order is
 pointwise implication, joins are pointwise disjunction, and everything
 quantifying over "all renamings of a row" boils down to finitely many
 placement patterns of its support.
+
+A placement is a plain dict {own atom: placed atom}, injective and
+defined on the whole support of the row it places; atoms the pattern
+leaves unplaced go to fresh atoms (`_realize`).  The placed row is read
+backwards through the inverse dict, which is defined exactly on the
+placed support: every other atom of a column is outside it, so it is
+relabelled fresh (`Row.value_mapped`).  Every order, equality and
+witness check is one loop over joint column instances
+(`first_difference`).
 """
 
 from __future__ import annotations
@@ -14,13 +23,13 @@ from __future__ import annotations
 import itertools
 from bisect import insort
 
-from .atoms import apply, extend_to_permutation, fresh_atom, FinitePermutation
 from .orbits import (
     Letter,
     Word,
     EMPTY_WORD,
     canonicalize,
     a_canonicalize,
+    fresh_atom,
     partial_injections,
     split_into_a_orbits,
 )
@@ -127,27 +136,27 @@ class Row:
         return v
 
     def value_mapped(self, inv, e: Word) -> bool:
-        """The value of the permuted row (whose inverse is ``inv``) at e.
+        """The value of the placed row at e; ``inv`` is the inverse of the
+        placement, a dict from the placed support onto this row's support.
 
-        Fuses apply(inv, e) with the support-canonical key construction:
-        (pi.r)(e) = r(inv(e)).
+        Builds the support-canonical key of inv(e) directly: atoms of the
+        placed support read back through ``inv``, and every other atom,
+        which any bijection extending the placement sends outside this
+        row's support, becomes a fresh atom by first occurrence.
         """
-        sup = self.support_set
         relabel = {}
         nxt = self._fresh
         letters = []
         for letter in e.letters:
             atoms = []
             for a in letter.atoms:
-                b = inv(a)
-                if b in sup:
-                    atoms.append(b)
-                else:
-                    r = relabel.get(b)
-                    if r is None:
-                        relabel[b] = r = nxt
+                b = inv.get(a)
+                if b is None:
+                    b = relabel.get(a)
+                    if b is None:
+                        relabel[a] = b = nxt
                         nxt += 1
-                    atoms.append(r)
+                atoms.append(b)
             letters.append(Letter(letter.tag, tuple(atoms)))
         try:
             return self.entries[Word(letters)]
@@ -159,30 +168,21 @@ class Row:
             self._nonempty = any(self.entries.values())
         return not self._nonempty
 
-    def apply_perm(self, p: FinitePermutation) -> "Row":
-        inv = p.invert()
-        new_support = frozenset(p(a) for a in self.support)
+    def apply_perm(self, p) -> "Row":
+        """The row renamed by ``p``, a dict injective on the owner's atoms."""
+        inv = {p[a]: a for a in self.support}
         return Row.build(
-            apply(p, self.owner),
+            self.owner.rename(p),
             self.columns,
             lambda e: self.value_mapped(inv, e),
-            support=new_support,
+            support=frozenset(inv),
         )
-
-    def _apply_perm(self, p):
-        return self.apply_perm(p)
-
-    def _support(self):
-        return self.support_set
 
     def _removable(self, atom) -> bool:
         """Is the subset unchanged when this atom is swapped with a fresh one?"""
-        beta = fresh_atom(self.support_set)
-        swap = FinitePermutation.swap(atom, beta)
-        for e in self.columns.instances(self.support_set | {beta}):
-            if self.value(e) != self.value_mapped(swap, e):
-                return False
-        return True
+        swap = {a: a for a in self.support}
+        swap[atom] = fresh_atom(self.support_set)
+        return first_difference(self, self, swap, equal=True) is None
 
     def reduced(self) -> "Row":
         """The same subset re-based on its least support.
@@ -231,42 +231,41 @@ class Row:
         return f"Row({self.owner.render()!r}: {self.render()})"
 
 
-RowFamily = list
+def first_difference(r1: Row, r2: Row, placement=None, equal=False):
+    """The first joint column instance where r1 is true and r2 false (with
+    ``equal``: where they differ), or None when there is none.
 
-
-def row_value(r: Row, e: Word) -> bool:
-    return r.value(e)
-
-
-def _joint_instances(columns, support_a, support_b):
-    joint = frozenset(support_a) | frozenset(support_b)
-    if isinstance(columns, ColumnSet):
-        return columns.instances(joint)
-    return tuple(
-        e for pattern in columns for e in split_into_a_orbits(pattern, joint)
-    )
+    With a ``placement`` of r1's support, r1 is read as its placed copy.
+    The instances are those of the joint support, which are all the
+    columns the two rows can disagree on.
+    """
+    if placement is None:
+        inv = None
+        placed = r1.support_set
+    else:
+        inv = {b: a for a, b in placement.items()}
+        placed = frozenset(inv)
+    for e in r2.columns.instances(placed | r2.support_set):
+        v1 = r1.value(e) if inv is None else r1.value_mapped(inv, e)
+        if (v1 or equal) and v1 != r2.value(e):
+            return e
+    return None
 
 
 def row_leq(r1: Row, r2: Row) -> bool:
     """Pointwise inclusion, decided on joint-support representatives."""
     if r1.columns is not r2.columns and list(r1.columns) != list(r2.columns):
         raise ValueError("rows over different column sets")
-    for e in _joint_instances(r1.columns, r1.support_set, r2.support_set):
-        if r1.value(e) and not r2.value(e):
-            return False
-    return True
+    return first_difference(r1, r2) is None
 
 
 def row_eq(r1: Row, r2: Row) -> bool:
     """Denotation equality, decided on joint-support representatives."""
-    for e in _joint_instances(r1.columns, r1.support_set, r2.support_set):
-        if r1.value(e) != r2.value(e):
-            return False
-    return True
+    return first_difference(r1, r2, equal=True) is None
 
 
 def _realize(mapping, own_support, avoid):
-    """Extend a partial placement of a support to a permutation.
+    """Complete a partial placement of a support into a placement.
 
     Unplaced atoms go to fresh atoms above everything in sight, so they
     collide with nothing that later comparisons can observe.
@@ -277,24 +276,7 @@ def _realize(mapping, own_support, avoid):
         if a not in full:
             full[a] = nxt
             nxt += 1
-    perm = extend_to_permutation(full)
-    return perm, perm.invert()
-
-
-def _placed_leq(y: Row, perm, inv, t: Row) -> bool:
-    placed_support = frozenset(perm(a) for a in y.support)
-    for e in _joint_instances(t.columns, placed_support, t.support_set):
-        if y.value_mapped(inv, e) and not t.value(e):
-            return False
-    return True
-
-
-def _placed_eq(y: Row, perm, inv, t: Row) -> bool:
-    placed_support = frozenset(perm(a) for a in y.support)
-    for e in _joint_instances(t.columns, placed_support, t.support_set):
-        if y.value_mapped(inv, e) != t.value(e):
-            return False
-    return True
+    return full
 
 
 def _survivors(t: Row, family, strict, uniform_support):
@@ -310,10 +292,10 @@ def _survivors(t: Row, family, strict, uniform_support):
         for tpat in partial_injections(y.support, t_sorted):
             if uniform_support and len(tpat) != len(y.support):
                 continue
-            perm, inv = _realize(tpat, y.support, t.support_set)
-            if not _placed_leq(y, perm, inv, t):
+            placement = _realize(tpat, y.support, t.support_set)
+            if first_difference(y, t, placement) is not None:
                 continue
-            if strict and _placed_eq(y, perm, inv, t):
+            if strict and first_difference(y, t, placement, equal=True) is None:
                 continue
             out.append((y, tpat))
     return out
@@ -343,10 +325,10 @@ def join_below(target: Row, family, strict=False, uniform_support=False) -> Row:
             for ext in extensions:
                 full = dict(tpat)
                 full.update(ext)
-                _, inv = _realize(
+                placed = _realize(
                     full, y.support, t.support_set | frozenset(e.atoms())
                 )
-                if y.value_mapped(inv, e):
+                if y.value_mapped({b: a for a, b in placed.items()}, e):
                     val = True
                     break
             if val:
@@ -383,12 +365,10 @@ def orbit_equal(r1: Row, r2: Row) -> bool:
         return False
     if a.orbit_invariant() != b.orbit_invariant():
         return False
-    for image in itertools.permutations(b.support):
-        perm = extend_to_permutation(dict(zip(a.support, image)))
-        inv = perm.invert()
-        if all(a.value_mapped(inv, e) == v for e, v in b.entries.items()):
-            return True
-    return False
+    return any(
+        first_difference(a, b, dict(zip(a.support, image)), equal=True) is None
+        for image in itertools.permutations(b.support)
+    )
 
 
 def dedup_by_orbit(rows):

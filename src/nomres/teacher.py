@@ -12,7 +12,7 @@ equivariant.
 from __future__ import annotations
 
 from .orbits import AlphabetSpec, Word, enumerate_word_orbits
-from .automaton import SymbolicAutomaton, accepts
+from .automaton import accepts
 from . import corpus
 
 
@@ -38,14 +38,6 @@ class MembershipOracle:
     def member(self, w: Word) -> bool:
         self.query_count += 1
         return self.evaluate(w)
-
-
-def automaton_oracle(aut: SymbolicAutomaton, name=None) -> MembershipOracle:
-    return MembershipOracle(aut.alphabet, automaton=aut, name=name)
-
-
-def predicate_oracle(alphabet, predicate, name=None) -> MembershipOracle:
-    return MembershipOracle(alphabet, predicate=predicate, name=name)
 
 
 class EquivalenceOracle:

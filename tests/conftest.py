@@ -129,10 +129,7 @@ def concretize_row(row, columns_concrete, universe):
     sup = sorted(row.reduced().support)
     out = []
     for img in itertools.permutations(universe, len(sup)):
-        from nomres.atoms import extend_to_permutation
-
-        perm = extend_to_permutation(dict(zip(sup, img)))
-        inv = perm.invert()
+        inv = dict(zip(img, sup))
         out.append(
             frozenset(
                 c for c in columns_concrete if row.reduced().value_mapped(inv, c)

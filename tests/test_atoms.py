@@ -1,114 +1,50 @@
-import pytest
 from hypothesis import given, strategies as st
 
-from nomres.atoms import (
-    FinitePermutation,
-    IDENTITY,
-    apply,
-    support,
-    extend_to_permutation,
-    fresh_atom,
-)
+from nomres.orbits import Letter, Word, fresh_atom, parse_word
 
 
 def perm_strategy(max_atom=6):
-    """Random finite permutations, via shuffles of a small universe."""
+    """Random permutations of a small universe, as dicts."""
     return st.permutations(list(range(max_atom))).map(
-        lambda img: FinitePermutation(dict(zip(range(len(img)), img)))
+        lambda img: dict(zip(range(len(img)), img))
     )
 
 
-value_strategy = st.tuples(
-    st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)
-)
+value_strategy = st.lists(
+    st.builds(Letter, st.just("a"), st.tuples(st.integers(0, 5))), max_size=3
+).map(Word)
 
 
-class TestFinitePermutation:
-    def test_identity(self):
-        assert IDENTITY(5) == 5
-        assert IDENTITY.is_identity()
-
-    def test_swap_is_involution(self):
-        p = FinitePermutation.swap(1, 2)
-        assert p(1) == 2 and p(2) == 1 and p(3) == 3
-        assert p.compose(p).is_identity()
-
-    def test_cycle(self):
-        p = FinitePermutation({1: 2, 2: 3, 3: 1})
-        assert [p(a) for a in (1, 2, 3, 4)] == [2, 3, 1, 4]
-        assert p.compose(p.invert()).is_identity()
-        assert p.invert().compose(p).is_identity()
-
-    def test_rejects_non_injective(self):
-        with pytest.raises(ValueError):
-            FinitePermutation({1: 3, 2: 3})
-
-    def test_rejects_mere_injection(self):
-        # domain and image must coincide: 1 -> 2 alone is not a permutation
-        with pytest.raises(ValueError):
-            FinitePermutation({1: 2})
-
-    def test_fixed_points_normalized(self):
-        assert FinitePermutation({4: 4}) == IDENTITY
-
-    @given(perm_strategy(), perm_strategy())
-    def test_compose_pointwise(self, p, q):
-        c = p.compose(q)
-        for a in range(8):
-            assert c(a) == p(q(a))
-
-
-class TestExtendToPermutation:
-    def test_closes_chain(self):
-        p = extend_to_permutation({1: 2, 2: 5})
-        assert p(1) == 2 and p(2) == 5
-        assert p(5) == 1  # chain closed back to its start
-
-    def test_keeps_cycles(self):
-        p = extend_to_permutation({1: 2, 2: 1})
-        assert p == FinitePermutation({1: 2, 2: 1})
-
-    def test_rejects_non_injective(self):
-        with pytest.raises(ValueError):
-            extend_to_permutation({1: 0, 2: 0})
-
-    @given(
-        st.dictionaries(st.integers(0, 9), st.integers(0, 9), max_size=6).filter(
-            lambda m: len(set(m.values())) == len(m)
-        )
-    )
-    def test_always_extends(self, mapping):
-        p = extend_to_permutation(mapping)
-        for k, v in mapping.items():
-            assert p(k) == v
+def atom_set(w):
+    return frozenset(w.atoms())
 
 
 class TestApplySupport:
     def test_apply_atom_and_structures(self):
-        p = FinitePermutation.swap(1, 2)
-        assert apply(p, 1) == 2
-        assert apply(p, (1, 2, 3)) == (2, 1, 3)
-        assert apply(p, frozenset((1, 3))) == frozenset((2, 3))
+        swap = {1: 2, 2: 1}
+        assert parse_word("a(1)").rename(swap) == parse_word("a(2)")
+        assert parse_word("a(1) a(2) a(3)").rename(swap) == parse_word("a(2) a(1) a(3)")
+        assert atom_set(parse_word("a(1) a(3)").rename(swap)) == frozenset((2, 3))
 
     @given(perm_strategy(), perm_strategy(), value_strategy)
     def test_group_action_laws(self, p, q, v):
-        assert apply(IDENTITY, v) == v
-        assert apply(p, apply(q, v)) == apply(p.compose(q), v)
+        assert v.rename({}) == v
+        assert v.rename(q).rename(p) == v.rename({a: p[q[a]] for a in q})
 
     @given(perm_strategy(), value_strategy)
     def test_support_equivariance(self, p, v):
-        assert support(apply(p, v)) == frozenset(p(a) for a in support(v))
+        assert atom_set(v.rename(p)) == frozenset(p[a] for a in atom_set(v))
 
     @given(value_strategy)
     def test_fixing_support_fixes_value(self, v):
-        sup = support(v)
+        sup = atom_set(v)
         a, b = max(sup, default=0) + 1, max(sup, default=0) + 2
-        assert apply(FinitePermutation.swap(a, b), v) == v
+        assert v.rename({a: b, b: a}) == v
 
     def test_support_basics(self):
-        assert support(7) == frozenset((7,))
-        assert support(()) == frozenset()
-        assert support((3, 7, 3)) == frozenset((3, 7))
+        assert atom_set(parse_word("a(7)")) == frozenset((7,))
+        assert atom_set(parse_word("eps")) == frozenset()
+        assert atom_set(parse_word("a(3) a(7) a(3)")) == frozenset((3, 7))
 
     def test_fresh_atom(self):
         assert fresh_atom(()) == 0

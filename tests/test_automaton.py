@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nomres.atoms import FinitePermutation, apply
 from nomres.orbits import AlphabetSpec, Letter, Word, enumerate_word_orbits, parse_word
 from nomres.automaton import (
     AlphabetMismatchError,
@@ -32,7 +31,7 @@ LNGR = corpus.get("Lngr").automaton
 
 def perms(max_atom=6):
     return st.permutations(list(range(max_atom))).map(
-        lambda img: FinitePermutation(dict(zip(range(len(img)), img)))
+        lambda img: dict(zip(range(len(img)), img))
     )
 
 
@@ -109,8 +108,8 @@ class TestAcceptance:
     @settings(max_examples=60)
     @given(words(), perms())
     def test_equivariance(self, w, p):
-        assert accepts(LD, w) == accepts(LD, apply(p, w))
-        assert accepts(LN, w) == accepts(LN, apply(p, w))
+        assert accepts(LD, w) == accepts(LD, w.rename(p))
+        assert accepts(LN, w) == accepts(LN, w.rename(p))
 
     def test_accepts_from(self):
         # from the registered middle state of Ld, acceptance needs the
@@ -235,6 +234,14 @@ class TestAnchoring:
     def test_anchor_top_initial_states(self):
         top = anchor_top(LD)
         assert top.initial == frozenset({"top", "uq_q0", "uq_q1", "uq_q2"})
+
+    def test_anchor_top_primes_a_taken_top(self):
+        # Ak already has a state named top; the new one is primed
+        ak = corpus.get("Ak:2").automaton
+        top = anchor_top(ak)
+        assert "top'" in top.initial and "top" not in top.initial
+        for w in enumerate_word_orbits(ak.alphabet, 3):
+            assert accepts(top, w)
 
     def test_anchor_words_lead_to_single_states(self):
         anc = anchor(LD)

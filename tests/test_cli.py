@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from nomres import cli
 from nomres.cli import main
-from nomres.automaton import parse, accepts, render
+from nomres.automaton import SimulationLimitError, parse, accepts, render
 from nomres.orbits import enumerate_word_orbits, parse_word
 from nomres import corpus
 
@@ -40,6 +41,15 @@ class TestMember:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "member", "/nonexistent.aut", "eps")
         assert code == 2
+
+    def test_simulation_limit_is_an_error(self, capsys, monkeypatch):
+        def over_limit(aut, w):
+            raise SimulationLimitError("configuration frontier exceeded 1 entries")
+
+        monkeypatch.setattr(cli, "accepts", over_limit)
+        code, _, err = run(capsys, "member", "builtin:Ld", "eps")
+        assert code == 2
+        assert err.strip() == "error: configuration frontier exceeded 1 entries"
 
 
 class TestUniversal:
@@ -80,6 +90,20 @@ class TestAnchor:
         for w in enumerate_word_orbits(corpus.get("Ld").automaton.alphabet, 3):
             assert accepts(top, w)
 
+    def test_top_variant_when_top_is_taken(self, tmp_path, capsys):
+        out_path = tmp_path / "top.aut"
+        code, _, _ = run(capsys, "anchor", "builtin:Ak:2", "--top", "-o", str(out_path))
+        assert code == 0
+        top = parse(out_path.read_text())
+        for w in enumerate_word_orbits(corpus.get("Ak:2").automaton.alphabet, 3):
+            assert accepts(top, w)
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "x.aut"
+        code, _, err = run(capsys, "anchor", "builtin:Ld", "-o", str(out_path))
+        assert code == 2
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
 
 class TestOrbits:
     def test_default_alphabet_count(self, capsys):
@@ -90,6 +114,12 @@ class TestOrbits:
         assert "k p(k)" in lines[1]
         assert lines[2] == "0 1"
         assert lines[-1] == "3 34"
+
+    def test_missing_alphabet_file(self, tmp_path, capsys):
+        path = tmp_path / "missing.aut"
+        code, _, err = run(capsys, "orbits", "--alphabet", str(path))
+        assert code == 2
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "orbits", "--max-len", "4")

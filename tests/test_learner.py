@@ -16,7 +16,7 @@ from nomres.learner import (
     hypothesis_agreement_violations,
     learn,
 )
-from nomres.teacher import for_corpus, for_language, predicate_oracle
+from nomres.teacher import MembershipOracle, for_corpus, for_language
 from nomres import corpus
 
 A1 = AlphabetSpec([("a", 1)])
@@ -24,7 +24,7 @@ A1 = AlphabetSpec([("a", 1)])
 
 def oracle_for(name):
     entry = corpus.get(name)
-    return predicate_oracle(entry.automaton.alphabet, entry.predicate, name=name)
+    return MembershipOracle(entry.automaton.alphabet, predicate=entry.predicate, name=name)
 
 
 def table_for(name, length=0, columns=(), fill=True):
@@ -50,7 +50,7 @@ class TestFill:
 
     def test_star_language(self):
         alph = A1
-        t = ObservationTable(alph, oracle=predicate_oracle(alph, lambda w: True))
+        t = ObservationTable(alph, oracle=MembershipOracle(alph, predicate=lambda w: True))
         t.fill()
         assert t.row(EMPTY_WORD).value(EMPTY_WORD)
 
@@ -101,7 +101,7 @@ class TestClosedness:
 class TestConsistency:
     def test_star_language_consistent(self):
         alph = A1
-        t = ObservationTable(alph, oracle=predicate_oracle(alph, lambda w: True))
+        t = ObservationTable(alph, oracle=MembershipOracle(alph, predicate=lambda w: True))
         t.length = 1
         t.fill()
         assert t.find_consistency_defect() is None
@@ -166,7 +166,7 @@ class TestCounterexamples:
 class TestBuildHypothesis:
     def test_star_language_hypothesis(self):
         alph = A1
-        t = ObservationTable(alph, oracle=predicate_oracle(alph, lambda w: True))
+        t = ObservationTable(alph, oracle=MembershipOracle(alph, predicate=lambda w: True))
         t.fill()
         hyp = t.build_hypothesis()
         aut = hyp.automaton
@@ -209,16 +209,16 @@ class TestTableEquivariance:
     def test_renamed_oracle_fills_identically(self):
         """The filling function is equivariant: a target composed with a
         renaming produces byte-identical canonical answers."""
-        from nomres.atoms import apply, extend_to_permutation
-
         entry = corpus.get("Lngr")
-        perm = extend_to_permutation({0: 5, 1: 6, 2: 7})
+        perm = {0: 5, 1: 6, 2: 7, 5: 0, 6: 1, 7: 2}
         plain = ObservationTable(
-            A1, oracle=predicate_oracle(A1, entry.predicate)
+            A1, oracle=MembershipOracle(A1, predicate=entry.predicate)
         )
         renamed = ObservationTable(
             A1,
-            oracle=predicate_oracle(A1, lambda w: entry.predicate(apply(perm, w))),
+            oracle=MembershipOracle(
+                A1, predicate=lambda w: entry.predicate(w.rename(perm))
+            ),
         )
         for t in (plain, renamed):
             t.columns.add(parse_word("a(0) a(1)"))

@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from nomres.atoms import FinitePermutation, apply, extend_to_permutation, support
 from nomres.orbits import (
     AlphabetSpec,
     DEFAULT_ALPHABET,
@@ -14,10 +13,8 @@ from nomres.orbits import (
     count_partial_permutations,
     enumerate_word_orbits,
     letter_patterns,
-    minimal_orbits,
     parse_word,
     partial_injections,
-    render_word,
     set_partition_labels,
     split_into_a_orbits,
 )
@@ -41,14 +38,14 @@ def words(max_len=4, max_atom=4):
 
 def perms(max_atom=6):
     return st.permutations(list(range(max_atom))).map(
-        lambda img: FinitePermutation(dict(zip(range(len(img)), img)))
+        lambda img: dict(zip(range(len(img)), img))
     )
 
 
 class TestWordBasics:
     def test_parse_render_roundtrip(self):
         for text in ["eps", "a(1)", "a(1) a(2) a(1)", "anc(3) a(7)"]:
-            assert render_word(parse_word(text)) == text
+            assert parse_word(text).render() == text
 
     def test_parse_validates_against_alphabet(self):
         with pytest.raises(ValueError):
@@ -59,9 +56,9 @@ class TestWordBasics:
             parse_word("a(x)")
 
     def test_support_is_occurrence_set(self):
-        assert support(parse_word("a(5) a(5)")) == frozenset((5,))
-        assert support(EMPTY_WORD) == frozenset()
-        assert support(parse_word("anc(3) a(7)")) == frozenset((3, 7))
+        assert frozenset(parse_word("a(5) a(5)").atoms()) == frozenset((5,))
+        assert frozenset(EMPTY_WORD.atoms()) == frozenset()
+        assert frozenset(parse_word("anc(3) a(7)").atoms()) == frozenset((3, 7))
 
     def test_suffixes(self):
         w = parse_word("a(1) a(2)")
@@ -88,12 +85,12 @@ class TestCanonicalize:
 
     @given(words(), perms())
     def test_orbit_soundness(self, w, p):
-        assert canonicalize(w) == canonicalize(apply(p, w))
+        assert canonicalize(w) == canonicalize(w.rename(p))
 
     @given(words())
     def test_completeness_constructs_witness(self, w):
         pattern, perm = canonicalize_with_perm(w)
-        assert apply(perm, pattern) == w
+        assert pattern.rename(perm) == w
 
     @given(words(), words())
     def test_equal_patterns_mean_same_orbit(self, w1, w2):
@@ -101,7 +98,7 @@ class TestCanonicalize:
             # build the witness permutation through the shared pattern
             p1, q1 = canonicalize_with_perm(w1)
             p2, q2 = canonicalize_with_perm(w2)
-            assert apply(q2.compose(q1.invert()), w1) == w2
+            assert w1.rename({b: q2[a] for a, b in q1.items()}) == w2
 
 
 class TestACanonicalize:
@@ -115,11 +112,10 @@ class TestACanonicalize:
     def test_invariant_under_fixing_permutations(self, w, image):
         # a permutation moving only atoms outside `fixed`
         fixed = frozenset((0, 1, 2, 3))
-        p = FinitePermutation(dict(zip((4, 5, 6, 7), image)))
-        shift = extend_to_permutation(dict(zip((0, 1, 2, 3), (4, 5, 6, 7))))
-        shifted = apply(shift, w)
+        p = dict(zip((4, 5, 6, 7), image))
+        shifted = w.rename(dict(zip((0, 1, 2, 3), (4, 5, 6, 7))))
         assert a_canonicalize(shifted, fixed) == a_canonicalize(
-            apply(p, shifted), fixed
+            shifted.rename(p), fixed
         )
 
     @given(words(max_atom=3))
@@ -244,28 +240,9 @@ def prefix_leq(x, y):
     return len(x) <= len(y) and y[: len(x)] == x
 
 
-class TestMinimalOrbits:
-    def test_single_orbit(self):
-        w = parse_word("a(0) a(1)")
-        assert minimal_orbits([w], prefix_leq) == [w]
-
-    def test_chain_keeps_least(self):
-        chain = [parse_word("a(0)"), parse_word("a(0) a(1)"),
-                 parse_word("a(0) a(1) a(2)")]
-        assert minimal_orbits(chain, prefix_leq) == [parse_word("a(0)")]
-
-    def test_antichain_keeps_both(self):
-        pair = [parse_word("a(0) a(0)"), parse_word("a(0) a(1)")]
-        # neither is a prefix of a renaming of the other (same length)
-        got = minimal_orbits(pair, prefix_leq)
-        assert got == pair
-
-    def test_same_orbit_deduplicated(self):
-        reps = [parse_word("a(3)"), parse_word("a(8)")]
-        assert minimal_orbits(reps, prefix_leq) == [parse_word("a(3)")]
-
+class TestRigidity:
     def test_rigidity(self):
         """Comparable elements of one orbit are equal (pure-atom rigidity)."""
         w = parse_word("a(0) a(1)")
-        p = FinitePermutation.swap(0, 1)
-        assert not prefix_leq(w, apply(p, w)) or w == apply(p, w)
+        p = {0: 1, 1: 0}
+        assert not prefix_leq(w, w.rename(p)) or w == w.rename(p)

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from nomres.atoms import FinitePermutation, extend_to_permutation
 from nomres.orbits import Letter, Word, EMPTY_WORD, parse_word
 from nomres.rows import (
     ColumnError,
@@ -16,7 +15,6 @@ from nomres.rows import (
     orbit_equal,
     row_eq,
     row_leq,
-    row_value,
 )
 from nomres import corpus
 from conftest import (
@@ -77,25 +75,25 @@ class TestRowBasics:
         cs = columns_upto("a(0)")
         r = make_row(cs, {1}, {"a(1)": True})
         # the two fresh columns canonicalize alike, so values agree
-        assert row_value(r, parse_word("a(2)")) == row_value(r, parse_word("a(3)"))
-        assert row_value(r, parse_word("a(1)"))
+        assert r.value(parse_word("a(2)")) == r.value(parse_word("a(3)"))
+        assert r.value(parse_word("a(1)"))
 
     def test_unknown_column_rejected(self):
         cs = columns_upto("a(0)")
         r = make_row(cs, set(), {})
         with pytest.raises(ColumnError):
-            row_value(r, parse_word("a(0) a(0)"))
+            r.value(parse_word("a(0) a(0)"))
 
     def test_ld_table_entry(self):
         cs = columns_upto("a(0)")
         r = language_row("a(1)", cs, LD)
-        assert row_value(r, parse_word("a(1)"))  # a(1) a(1) is in the language
-        assert not row_value(r, parse_word("a(2)"))
+        assert r.value(parse_word("a(1)"))  # a(1) a(1) is in the language
+        assert not r.value(parse_word("a(2)"))
 
-    def test_all_false_row_value(self):
+    def test_all_false_row_reads_false(self):
         cs = columns_upto("a(0)")
         r = make_row(cs, set(), {})
-        assert not row_value(r, parse_word("a(5)"))
+        assert not r.value(parse_word("a(5)"))
 
 
 class TestRowOrder:
@@ -124,8 +122,7 @@ class TestRowOrder:
         for _ in range(30):
             r = random_row(rng, cs)
             img = rng.sample(range(4), len(r.support))
-            p = extend_to_permutation(dict(zip(r.support, img)))
-            pr = r.apply_perm(p)
+            pr = r.apply_perm(dict(zip(r.support, img)))
             if row_leq(r, pr):
                 assert row_eq(r, pr)
 

@@ -1,23 +1,20 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nomres.atoms import FinitePermutation, apply
 from nomres.orbits import Letter, Word, enumerate_word_orbits, parse_word
 from nomres.automaton import accepts, universal_automaton, parse
 from nomres.teacher import (
     EquivalenceOracle,
     MembershipOracle,
-    automaton_oracle,
     for_corpus,
     for_language,
-    predicate_oracle,
 )
 from nomres import corpus
 
 
 def perms(max_atom=5):
     return st.permutations(list(range(max_atom))).map(
-        lambda img: FinitePermutation(dict(zip(range(len(img)), img)))
+        lambda img: dict(zip(range(len(img)), img))
     )
 
 
@@ -38,7 +35,7 @@ class TestMembership:
 
     def test_counts_queries(self):
         entry = corpus.get("Lngr")
-        o = predicate_oracle(entry.automaton.alphabet, entry.predicate)
+        o = MembershipOracle(entry.automaton.alphabet, predicate=entry.predicate)
         assert o.member(parse_word("a(1) a(2) a(1)"))
         assert not o.member(parse_word("a(1) a(2) a(3)"))
         assert o.query_count == 2
@@ -48,7 +45,8 @@ class TestMembership:
     def test_automaton_backed_anchored_guess(self):
         # the anchored guess must match a final plain letter with the
         # same atom: Anc(a) a is accepted, Anc(b) a is not
-        o = automaton_oracle(corpus.get("Lr").automaton)
+        lr = corpus.get("Lr").automaton
+        o = MembershipOracle(lr.alphabet, automaton=lr)
         assert o.member(parse_word("anc(1) a(1)"))
         assert not o.member(parse_word("anc(2) a(1)"))
 
@@ -56,14 +54,14 @@ class TestMembership:
     @given(words(), perms())
     def test_equivariance(self, w, p):
         entry = corpus.get("Ld")
-        o = predicate_oracle(entry.automaton.alphabet, entry.predicate)
-        assert o.member(w) == o.member(apply(p, w))
+        o = MembershipOracle(entry.automaton.alphabet, predicate=entry.predicate)
+        assert o.member(w) == o.member(w.rename(p))
 
     @pytest.mark.parametrize("name", ["Ld", "Lngr", "Ln", "Lng", "Compress", "Lr"])
     def test_both_backings_agree(self, name):
         entry = corpus.get(name)
-        by_pred = predicate_oracle(entry.automaton.alphabet, entry.predicate)
-        by_aut = automaton_oracle(entry.automaton)
+        by_pred = MembershipOracle(entry.automaton.alphabet, predicate=entry.predicate)
+        by_aut = MembershipOracle(entry.automaton.alphabet, automaton=entry.automaton)
         for w in enumerate_word_orbits(entry.automaton.alphabet, 4):
             assert by_pred.member(w) == by_aut.member(w)
 
@@ -71,27 +69,27 @@ class TestMembership:
 class TestEquivalence:
     def test_target_against_itself(self):
         entry = corpus.get("Ld")
-        o = automaton_oracle(entry.automaton)
+        o = MembershipOracle(entry.automaton.alphabet, automaton=entry.automaton)
         eq = EquivalenceOracle(o, depth=4)
         assert eq.equivalent(entry.automaton) is None
         assert eq.query_count == 1
 
     def test_empty_hypothesis_against_everything(self):
         alph = corpus.get("Ld").automaton.alphabet
-        target = predicate_oracle(alph, lambda w: True)
+        target = MembershipOracle(alph, predicate=lambda w: True)
         empty = parse("alphabet a 1\nstate q 0\n")
         assert EquivalenceOracle(target, 2).equivalent(empty) == parse_word("eps")
 
     def test_all_accepting_against_ld(self):
         entry = corpus.get("Ld")
-        target = predicate_oracle(entry.automaton.alphabet, entry.predicate)
+        target = MembershipOracle(entry.automaton.alphabet, predicate=entry.predicate)
         hyp = universal_automaton(entry.automaton.alphabet)
         # the all-accepting hypothesis already disagrees on the empty word
         assert EquivalenceOracle(target, 3).equivalent(hyp) == parse_word("eps")
 
     def test_counterexample_is_shortest(self):
         entry = corpus.get("Ld")
-        target = predicate_oracle(entry.automaton.alphabet, entry.predicate)
+        target = MembershipOracle(entry.automaton.alphabet, predicate=entry.predicate)
         empty = parse("alphabet a 1\nstate q 0\n")
         cex = EquivalenceOracle(target, 4).equivalent(empty)
         assert cex == parse_word("a(0) a(0)")
@@ -102,7 +100,7 @@ class TestEquivalence:
     def test_bounded_yes_is_bounded(self):
         # Ld and "first equals last, length exactly 2" agree up to depth 2
         entry = corpus.get("Ld")
-        target = predicate_oracle(entry.automaton.alphabet, entry.predicate)
+        target = MembershipOracle(entry.automaton.alphabet, predicate=entry.predicate)
         pair_only = parse(
             """
             alphabet a 1
