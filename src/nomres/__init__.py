@@ -25,17 +25,14 @@ from .automaton import (
     TransitionLine,
     UniversalityResult,
     accepts,
-    accepts_from,
     anchor,
     anchor_top,
-    bounded_residuality_witnesses,
     is_non_guessing,
     is_universal_residual,
     parse,
     render,
     reverse,
     run_frontier,
-    union,
     universal_automaton,
 )
 from .rows import (

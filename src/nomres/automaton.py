@@ -7,27 +7,29 @@ variable names mean equal atoms and distinct names mean distinct atoms,
 so each line denotes exactly one orbit of transition triples.  Guessing
 (a destination variable bound nowhere else) is allowed.
 
-Membership is decided by breadth-first exploration of canonical
-configurations.  A configuration maps registers to concrete word atoms
-(non-negative ints) or to abstract fresh markers (negative ints,
-renumbered -1, -2, ... in slot order); a marker stands for an atom that
-does not occur in the remaining input, which is the only distinction the
-rest of the run can observe.
+Membership is decided by breadth-first exploration of configurations,
+one letter at a time.  A register holds an atom already read (a
+non-negative int) or a marker (a negative int) that stands for an atom
+not read yet: initial states start with a marker in every register, and
+a guess takes an atom already read or a new marker.  When a letter
+brings an atom for the first time, the atom resolves the marker of the
+register a transition line compares it with, or no marker at all.
+Markers are renumbered -1, -2, ... in slot order, so each configuration
+has one canonical form.
+
+A run along one word (`accepts`, `run_frontier`) also knows the rest of
+the word: a read atom that does not occur again is demoted to None,
+which no later letter matches and no later atom resolves.
+`accepts_each` walks a whole orbit enumeration instead, one step per
+word from its prefix's frontier; it cannot see the rest of a word, so
+it demotes nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .orbits import (
-    AlphabetSpec,
-    Letter,
-    Word,
-    canonicalize,
-    letter_patterns,
-    split_into_a_orbits,
-    enumerate_word_orbits,
-)
+from .orbits import AlphabetSpec, Letter, Word, letter_patterns, split_into_a_orbits
 
 
 class AutomatonFormatError(ValueError):
@@ -79,23 +81,25 @@ class TransitionLine:
 class _CompiledLine:
     """A transition line pre-chewed for the simulator."""
 
-    __slots__ = ("line", "dst", "letter_ops", "dst_ops", "guess_count", "multi_new")
+    __slots__ = ("line", "dst", "reg_ops", "new_pos", "dup_ops", "dst_ops", "guess_count")
 
     def __init__(self, line: TransitionLine):
         self.line = line
         self.dst = line.dst
         src_pos = {v: i for i, v in enumerate(line.src_vars)}
         seen_letter = {}
-        ops = []
+        reg_ops, new_pos, dup_ops = [], [], []
         for j, v in enumerate(line.letter_vars):
             if v in src_pos:
-                ops.append(("reg", src_pos[v]))
+                reg_ops.append((j, src_pos[v]))
             elif v in seen_letter:
-                ops.append(("dup", seen_letter[v]))
+                dup_ops.append((j, seen_letter[v]))
             else:
                 seen_letter[v] = j
-                ops.append(("new", j))
-        self.letter_ops = tuple(ops)
+                new_pos.append(j)
+        self.reg_ops = tuple(reg_ops)
+        self.new_pos = tuple(new_pos)
+        self.dup_ops = tuple(dup_ops)
         guesses = {}
         dst_ops = []
         for v in line.dst_vars:
@@ -109,52 +113,51 @@ class _CompiledLine:
                 dst_ops.append(("guess", guesses[v]))
         self.dst_ops = tuple(dst_ops)
         self.guess_count = len(guesses)
-        self.multi_new = sum(1 for k, _ in self.letter_ops if k == "new") > 1
 
-    def match(self, regs, letter_atoms):
-        """True when the line fires for this (configuration, letter) pair."""
-        seen = None
-        for i, (kind, arg) in enumerate(self.letter_ops):
-            atom = letter_atoms[i]
-            if kind == "reg":
-                if regs[arg] != atom:
-                    return False
-            elif kind == "new":
-                # bound to no register: must differ from every other value
-                if atom in regs:
-                    return False
-                if self.multi_new:
-                    if seen is not None and atom in seen:
-                        return False
-                    seen = (atom,) if seen is None else seen + (atom,)
-            else:  # dup
-                if letter_atoms[arg] != atom:
-                    return False
-        return True
+    def fire(self, regs, atoms, fresh=()):
+        """The source registers, with the markers this line resolves, when
+        the line reads the letter atoms from them; None when it cannot.
 
-    def successors(self, regs, letter_atoms, future_atoms):
-        """All destination register tuples, enumerating guessed values.
-
-        A guessed atom is either an atom of the remaining input or a new
-        fresh marker; anything else behaves like a fresh marker for the
-        rest of the run.
+        A letter atom in a register slot either equals the register or,
+        when the atom occurs for the first time (is in fresh), resolves the
+        unread marker held there.  Every other letter atom must differ from
+        all registers and from the other letter variables.
         """
+        for pos, slot in self.reg_ops:
+            atom = atoms[pos]
+            held = regs[slot]
+            if held != atom:
+                if held is None or held >= 0 or atom not in fresh or atom in regs:
+                    return None
+                regs = regs[:slot] + (atom,) + regs[slot + 1:]
+        seen = ()
+        for pos in self.new_pos:
+            atom = atoms[pos]
+            if atom in regs or atom in seen:
+                return None
+            seen += (atom,)
+        for pos, first in self.dup_ops:
+            if atoms[pos] != atoms[first]:
+                return None
+        return regs
+
+    def successors(self, regs, atoms, keep):
+        """All destination register tuples.  A guess takes an atom of keep
+        (read, and still of use) or a new marker."""
         if self.guess_count == 0:
-            yield tuple(
-                [regs[a] if k == "reg" else letter_atoms[a] for k, a in self.dst_ops]
-            )
-            return
-        used = set(regs)
-        used.update(letter_atoms)
-        candidates = [a for a in future_atoms if a not in used]
-        marker = min((r for r in regs if r < 0), default=0) - 1
-        for chosen in _distinct_choices(candidates, marker, self.guess_count):
-            yield tuple(
+            return [
+                tuple([regs[a] if k == "reg" else atoms[a] for k, a in self.dst_ops])
+            ]
+        candidates = [a for a in keep if a not in regs and a not in atoms]
+        return [
+            tuple(
                 [
-                    regs[a] if k == "reg" else letter_atoms[a] if k == "let" else chosen[a]
+                    regs[a] if k == "reg" else atoms[a] if k == "let" else chosen[a]
                     for k, a in self.dst_ops
                 ]
             )
+            for chosen in _distinct_choices(candidates, -1 - len(regs), self.guess_count)
+        ]
 
 
 def _distinct_choices(candidates, marker_base, n):
@@ -181,8 +184,6 @@ class SymbolicAutomaton:
         self._by_name = {q.name: q for q in self.states}
         self._validate()
         self._compiled = None
-        self._reversed = None
-        self._accept_cache = {}
 
     def _validate(self):
         if len(self._by_name) != len(self.states):
@@ -215,10 +216,13 @@ class SymbolicAutomaton:
         return self._by_name[name]
 
     def compiled(self):
+        """The compiled lines, as {tag: {source state: lines}}."""
         if self._compiled is None:
             table = {}
             for t in self.transitions:
-                table.setdefault((t.src, t.letter_tag), []).append(_CompiledLine(t))
+                table.setdefault(t.letter_tag, {}).setdefault(t.src, []).append(
+                    _CompiledLine(t)
+                )
             self._compiled = table
         return self._compiled
 
@@ -326,145 +330,123 @@ def render(aut: SymbolicAutomaton) -> str:
 
 # -- simulation --------------------------------------------------------------
 
-def _canon_config(state, values, future_atoms):
-    """Canonical form of a configuration relative to the remaining input.
+def _markers(dimension):
+    return tuple(range(-1, -1 - dimension, -1))
 
-    Atoms that cannot occur again are indistinguishable from fresh
-    markers, so they are demoted to markers; markers are renumbered
-    -1, -2, ... in slot order.
-    """
-    for v in values:
-        if v < 0 or v not in future_atoms:
+
+def _canon(regs, keep):
+    """Markers renumbered -1, -2, ... in slot order; read atoms outside
+    keep demoted to None."""
+    for v in regs:
+        if v is None or v < 0 or v not in keep:
             break
     else:
-        return (state, values)
-    relabel = {}
+        return regs
     out = []
-    for v in values:
-        if v >= 0 and v in future_atoms:
-            out.append(v)
-        else:
-            if v not in relabel:
-                relabel[v] = -1 - len(relabel)
-            out.append(relabel[v])
-    return (state, tuple(out))
+    marker = -1
+    for v in regs:
+        if v is not None:
+            if v < 0:
+                v = marker
+                marker -= 1
+            elif v not in keep:
+                v = None
+        out.append(v)
+    return tuple(out)
 
 
-def _initial_configs(aut, future_atoms):
-    """Every canonical register filling for every initial orbit."""
-    atoms = sorted(future_atoms)
-    out = set()
-    for name in sorted(aut.initial):
-        k = aut.state(name).dimension
+def _step(aut, frontier, letter, fresh, keep, limit):
+    """The canonical configurations after reading one letter.
 
-        def rec(filled, marker):
-            if len(filled) == k:
-                out.add((name, tuple(filled)))
-                return
-            for a in atoms:
-                if a not in filled:
-                    rec(filled + [a], marker)
-            rec(filled + [marker], marker - 1)
-
-        rec([], -1)
-    return out
-
-
-def _simulation_cost(aut, orbit_names, word_len):
-    return sum(
-        (word_len + aut.state(n).dimension) ** aut.state(n).dimension
-        for n in orbit_names
-    )
+    fresh lists the letter atoms read for the first time; keep holds the
+    read atoms that may still be compared, and guesses draw from it.
+    """
+    if letter.tag not in aut.alphabet:
+        raise AlphabetMismatchError(f"unknown tag {letter.tag!r}")
+    if aut.alphabet.arity(letter.tag) != len(letter.atoms):
+        raise AlphabetMismatchError(f"arity mismatch for {letter.tag!r}")
+    lines = aut.compiled().get(letter.tag, {})
+    atoms = letter.atoms
+    nxt = set()
+    for state, regs in frontier:
+        for cl in lines.get(state, ()):
+            src = cl.fire(regs, atoms, fresh)
+            if src is not None:
+                for dst in cl.successors(src, atoms, keep):
+                    nxt.add((cl.dst, _canon(dst, keep)))
+    if len(nxt) > limit:
+        raise SimulationLimitError(f"configuration frontier exceeded {limit} entries")
+    return nxt
 
 
-def _check_word(aut, w):
-    for letter in w:
-        if letter.tag not in aut.alphabet:
-            raise AlphabetMismatchError(f"unknown tag {letter.tag!r}")
-        if aut.alphabet.arity(letter.tag) != len(letter.atoms):
-            raise AlphabetMismatchError(f"arity mismatch for {letter.tag!r}")
+def _initial_frontier(aut):
+    return {(q.name, _markers(q.dimension)) for q in aut.states if q.name in aut.initial}
 
 
-def _suffix_atom_sets(w):
-    sets = [frozenset()] * (len(w) + 1)
-    acc = frozenset()
-    for i in range(len(w) - 1, -1, -1):
-        acc = acc | frozenset(w[i].atoms)
-        sets[i] = acc
-    return sets
-
-
-def _run_loop(aut, w, frontier, suffix_atoms):
-    compiled = aut.compiled()
+def _frontier_limit(aut, distinct):
+    """A frontier over this many read atoms cannot be larger."""
     max_dim = max((q.dimension for q in aut.states), default=0)
-    distinct = len(suffix_atoms[0]) if suffix_atoms else 0
-    guard = max(1, len(aut.states)) * (distinct + max_dim + 1) ** max_dim
+    return max(1, len(aut.states)) * (distinct + max_dim + 1) ** max_dim
+
+
+def _run(aut, w):
+    """The frontier after w.  Knowing the rest of the word, each step
+    demotes the atoms that do not occur again."""
+    rest = [frozenset()] * (len(w) + 1)
+    for i in range(len(w) - 1, -1, -1):
+        rest[i] = rest[i + 1] | frozenset(w[i].atoms)
+    limit = _frontier_limit(aut, len(rest[0]))
+    frontier = _initial_frontier(aut)
+    read = set()
     for i, letter in enumerate(w):
-        future = suffix_atoms[i + 1]
-        nxt = set()
-        for state, regs in frontier:
-            for cl in compiled.get((state, letter.tag), ()):
-                if not cl.match(regs, letter.atoms):
-                    continue
-                for dst_regs in cl.successors(regs, letter.atoms, future):
-                    nxt.add(_canon_config(cl.dst, dst_regs, future))
-        frontier = nxt
-        if not frontier:
-            break
-        if len(frontier) > guard:
-            raise SimulationLimitError(
-                f"configuration frontier exceeded {guard} entries"
-            )
-    return frozenset(frontier)
+        fresh = [a for a in letter.atoms if a not in read]
+        read.update(fresh)
+        frontier = _step(aut, frontier, letter, fresh, read & rest[i + 1], limit)
+    return frontier
 
 
 def run_frontier(aut: SymbolicAutomaton, w: Word):
-    """The set of canonical configurations reachable on w.
+    """The set of configurations reachable on w.
 
-    Registers hold word atoms or fresh markers (negative ints);
-    configurations are canonical relative to the remaining input, so by
-    the end registers holding atoms that no longer matter are markers.
+    At the end of a word no atom can occur again, so every register
+    holds a marker: -1, -2, ... in slot order.
     """
-    _check_word(aut, w)
-    suffix_atoms = _suffix_atom_sets(w)
-    frontier = _initial_configs(aut, suffix_atoms[0])
-    return _run_loop(aut, w, frontier, suffix_atoms)
+    return frozenset((state, _markers(len(regs))) for state, regs in _run(aut, w))
 
 
-def accepts_from(aut: SymbolicAutomaton, state_name: str, regs, w: Word) -> bool:
-    """Acceptance starting from one concrete configuration."""
-    _check_word(aut, w)
-    suffix_atoms = _suffix_atom_sets(w)
-    frontier = {_canon_config(state_name, tuple(regs), suffix_atoms[0])}
-    final = _run_loop(aut, w, frontier, suffix_atoms)
-    return any(state in aut.final for state, _ in final)
+def accepts(aut: SymbolicAutomaton, w: Word) -> bool:
+    """Does some run of the (possibly guessing) automaton accept w?"""
+    return any(state in aut.final for state, _ in _run(aut, w))
 
 
-def accepts(aut: SymbolicAutomaton, w: Word, _allow_flip=True) -> bool:
-    """Does some run of the (possibly guessing) automaton accept w?
+def accepts_each(aut: SymbolicAutomaton, words):
+    """Yield accepts(aut, w) for each w of words, one step per word.
 
-    Acceptance is a property of the word's orbit, so results are cached
-    per canonical form.  Simulation runs on the reversed automaton when
-    the final orbits promise a smaller starting frontier.
+    words must list canonical word-orbit representatives by
+    nondecreasing length, each after its prefix one letter shorter, as
+    enumerate_word_orbits lists them.  Each word steps once from its
+    prefix's frontier, and only the frontiers of the previous length are
+    kept.  The rest of a word is unknown here, so no atom is demoted.
     """
-    _check_word(aut, w)
-    key = canonicalize(w)
-    cached = aut._accept_cache.get(key)
-    if cached is not None:
-        return cached
-    if _allow_flip and len(w) > 0:
-        fwd = _simulation_cost(aut, aut.initial, len(w))
-        bwd = _simulation_cost(aut, aut.final, len(w))
-        if bwd < fwd:
-            if aut._reversed is None:
-                aut._reversed = reverse(aut)
-            result = accepts(aut._reversed, key.reversed(), _allow_flip=False)
-            aut._accept_cache[key] = result
-            return result
-    frontier = run_frontier(aut, key)
-    result = any(state in aut.final for state, _ in frontier)
-    aut._accept_cache[key] = result
-    return result
+    depth = len(words[-1]) if words else 0
+    limit = _frontier_limit(aut, depth * aut.alphabet.dimension)
+    prev, cur, length = {}, {}, 0
+    for w in words:
+        letters = w.letters
+        if len(letters) != length:
+            prev, cur, length = cur, {}, len(letters)
+        if letters:
+            frontier, read = prev[letters[:-1]]
+            letter = letters[-1]
+            # canonical atoms: the prefix read 0 .. read-1
+            fresh = [a for a in letter.atoms if a >= read]
+            read += len(set(fresh))
+            frontier = _step(aut, frontier, letter, fresh, range(read), limit)
+        else:
+            frontier, read = _initial_frontier(aut), 0
+        if length < depth:
+            cur[letters] = (frontier, read)
+        yield any(state in aut.final for state, _ in frontier)
 
 
 # -- structural checks and constructions -------------------------------------
@@ -519,73 +501,15 @@ def is_universal_residual(aut: SymbolicAutomaton) -> UniversalityResult:
     for q in aut.states:
         regs = tuple(range(q.dimension))
         for tag, arity in aut.alphabet.constructors:
-            lines = compiled.get((q.name, tag), ())
+            lines = compiled.get(tag, {}).get(q.name, ())
             for base in letter_patterns(tag, arity):
                 for inst in split_into_a_orbits(Word([base]), set(regs)):
                     letter = inst[0]
-                    if not any(cl.match(regs, letter.atoms) for cl in lines):
+                    if all(cl.fire(regs, letter.atoms) is None for cl in lines):
                         return UniversalityResult(
                             False, "missing-transition", state=q.name, letter=letter
                         )
     return UniversalityResult(True)
-
-
-def bounded_residuality_witnesses(aut: SymbolicAutomaton, depth: int):
-    """Diagnostic only: states with no characterising word of length <= depth.
-
-    For the representative instance of each state orbit (registers
-    0..d-1), search for a word w, placed in every position relative to
-    the registers, whose derivative of L(aut) agrees with the instance's
-    language on all probe words up to the same depth.  Residuality is
-    undecidable, so a non-empty answer is inconclusive.
-    """
-    missing = []
-    patterns = enumerate_word_orbits(aut.alphabet, depth)
-    for q in aut.states:
-        regs = tuple(range(q.dimension))
-        probes = [
-            u for pat in patterns for u in split_into_a_orbits(pat, set(regs))
-        ]
-        found = False
-        for pat in patterns:
-            for w in split_into_a_orbits(pat, set(regs)):
-                if all(
-                    accepts(aut, w + u) == accepts_from(aut, q.name, regs, u)
-                    for u in probes
-                ):
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
-            missing.append(q.name)
-    return missing
-
-
-def union(a1: SymbolicAutomaton, a2: SymbolicAutomaton) -> SymbolicAutomaton:
-    """Disjoint union: accepts L(a1) | L(a2).  Right states are renamed on clash."""
-    if a1.alphabet != a2.alphabet:
-        raise AlphabetMismatchError("union needs identical alphabets")
-    taken = {q.name for q in a1.states}
-    rename = {}
-    for q in a2.states:
-        name = _unused_name(q.name, taken)
-        rename[q.name] = name
-        taken.add(name)
-    states = a1.states + tuple(StateOrbit(rename[q.name], q.dimension) for q in a2.states)
-    transitions = a1.transitions + tuple(
-        TransitionLine(
-            rename[t.src], t.src_vars, t.letter_tag, t.letter_vars, rename[t.dst], t.dst_vars
-        )
-        for t in a2.transitions
-    )
-    return SymbolicAutomaton(
-        a1.alphabet,
-        states,
-        set(a1.initial) | {rename[n] for n in a2.initial},
-        set(a1.final) | {rename[n] for n in a2.final},
-        transitions,
-    )
 
 
 def _unused_name(name, taken):

@@ -14,7 +14,7 @@ from .orbits import (
     AlphabetSpec,
     DEFAULT_ALPHABET,
     count_partial_permutations,
-    enumerate_word_orbits,
+    count_word_orbits,
     parse_word,
 )
 from .automaton import (
@@ -94,8 +94,7 @@ def _cmd_orbits(args) -> int:
         alphabet = _read_automaton(args.alphabet).alphabet
     else:
         alphabet = DEFAULT_ALPHABET
-    n = len(enumerate_word_orbits(alphabet, args.max_len))
-    print(n)
+    print(count_word_orbits(alphabet, args.max_len))
     print("k p(k)")
     for k in range(args.max_len * alphabet.dimension + 1):
         print(f"{k} {count_partial_permutations(k)}")

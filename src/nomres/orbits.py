@@ -156,9 +156,6 @@ class Word:
         """All suffixes, longest first, ending with the empty word."""
         return [self[i:] for i in range(len(self) + 1)]
 
-    def reversed(self):
-        return Word(reversed(self.letters))
-
     def sort_key(self):
         return (len(self.letters), tuple((l.tag, l.atoms) for l in self.letters))
 
@@ -298,6 +295,9 @@ def count_partial_permutations(k: int) -> int:
 def _word_orbits(alphabet: AlphabetSpec, max_len: int):
     out = [EMPTY_WORD]
     tags = tuple(sorted(alphabet.tags))
+    # one Letter object per letter, shared by every word that contains
+    # it: less memory, and equal prefixes compare by identity
+    shared = {}
     for n in range(1, max_len + 1):
         for tag_seq in itertools.product(tags, repeat=n):
             arities = [alphabet.arity(t) for t in tag_seq]
@@ -306,7 +306,11 @@ def _word_orbits(alphabet: AlphabetSpec, max_len: int):
                 letters = []
                 pos = 0
                 for tag, ar in zip(tag_seq, arities):
-                    letters.append(Letter(tag, labels[pos : pos + ar]))
+                    key = (tag, labels[pos : pos + ar])
+                    letter = shared.get(key)
+                    if letter is None:
+                        letter = shared[key] = Letter(*key)
+                    letters.append(letter)
                     pos += ar
                 out.append(Word(letters))
     return tuple(out)
@@ -321,6 +325,38 @@ def enumerate_word_orbits(alphabet: AlphabetSpec, max_len: int):
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
     return list(_word_orbits(alphabet, max_len))
+
+
+def count_word_orbits(alphabet: AlphabetSpec, max_len: int) -> int:
+    """``len(enumerate_word_orbits(alphabet, max_len))``, without the words.
+
+    A tag sequence with total arity k has Bell(k) equality patterns, so
+    the count is the sum of Bell(total arity) over tag sequences of
+    length <= max_len.
+    """
+    if max_len < 0:
+        raise ValueError("max_len must be non-negative")
+    # Bell numbers by the Bell triangle: each row starts with the last
+    # entry of the row before, and row k starts with Bell(k)
+    bell = [1]
+    row = [1]
+    for _ in range(max_len * alphabet.dimension):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+        bell.append(row[0])
+    # sequences[k]: tag sequences of the current length with total arity k
+    sequences = {0: 1}
+    total = 1
+    for _ in range(max_len):
+        longer = {}
+        for k, n in sequences.items():
+            for _, arity in alphabet.constructors:
+                longer[k + arity] = longer.get(k + arity, 0) + n
+        sequences = longer
+        total += sum(n * bell[k] for k, n in sequences.items())
+    return total
 
 
 def letter_patterns(tag: str, arity: int):

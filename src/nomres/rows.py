@@ -305,7 +305,7 @@ def join_below(target: Row, family, strict=False, uniform_support=False) -> Row:
     """The join of every renamed family row below the target.
 
     Returns, as a row on the target's (least) support, the pointwise
-    union of all placed copies pi.y with pi.y <= target (< when strict;
+    disjunction of all placed copies pi.y with pi.y <= target (< when strict;
     supp(pi.y) inside supp(target) when uniform_support).  For each
     column the placements extend over the column's own fresh atoms,
     since a copy may meet the column outside the target's support.

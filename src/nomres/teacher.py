@@ -7,12 +7,19 @@ representatives up to a depth and returns the first disagreement, which
 is sound, and complete only for the words it looked at.  Checking one
 representative per orbit suffices because both languages are
 equivariant.
+
+The walk shares prefixes: every automaton involved (the hypothesis, and
+the target when it is an automaton) steps each word once from the
+frontier of its prefix one letter shorter, keeping the frontiers of one
+length only.  The words are still checked in enumeration order, so the
+counterexample is the same as a word-by-word scan finds: the shortest
+disagreeing word, then the first in enumeration order.
 """
 
 from __future__ import annotations
 
 from .orbits import AlphabetSpec, Word, enumerate_word_orbits
-from .automaton import accepts
+from .automaton import accepts, accepts_each
 from . import corpus
 
 
@@ -35,6 +42,13 @@ class MembershipOracle:
             return accepts(self._automaton, w)
         return bool(self._predicate(w))
 
+    def evaluate_each(self, words):
+        """Uncounted evaluation of every word of an orbit enumeration,
+        in order (see `accepts_each`)."""
+        if self._automaton is not None:
+            return accepts_each(self._automaton, words)
+        return (bool(self._predicate(w)) for w in words)
+
     def member(self, w: Word) -> bool:
         self.query_count += 1
         return self.evaluate(w)
@@ -55,8 +69,10 @@ class EquivalenceOracle:
         otherwise the shortest (then enumeration-first) disagreeing word."""
         self.query_count += 1
         aut = getattr(hypothesis, "automaton", hypothesis)
-        for w in enumerate_word_orbits(self.target.alphabet, self.depth):
-            if self.target.evaluate(w) != accepts(aut, w):
+        words = enumerate_word_orbits(self.target.alphabet, self.depth)
+        verdicts = zip(words, self.target.evaluate_each(words), accepts_each(aut, words))
+        for w, expected, got in verdicts:
+            if expected != got:
                 return w
         return None
 

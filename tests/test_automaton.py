@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,20 +11,20 @@ from nomres.automaton import (
     StateOrbit,
     TransitionLine,
     accepts,
-    accepts_from,
+    accepts_each,
     anchor,
     anchor_top,
-    bounded_residuality_witnesses,
     is_non_guessing,
     is_universal_residual,
     parse,
     render,
     reverse,
     run_frontier,
-    union,
     universal_automaton,
 )
 from nomres import corpus
+
+from conftest import random_automaton
 
 LD = corpus.get("Ld").automaton
 LN = corpus.get("Ln").automaton
@@ -89,6 +91,7 @@ class TestAcceptance:
         [
             ("a(1) a(2) a(1)", True),
             ("a(1) a(2)", False),
+            ("a(0) a(1) a(2)", False),
             ("a(3) a(3)", True),
             ("eps", False),
         ],
@@ -101,6 +104,31 @@ class TestAcceptance:
         assert not accepts(LN, parse_word("a(1) a(2) a(1)"))
         assert accepts(LN, parse_word("eps"))
 
+    def test_guess_takes_a_read_atom(self):
+        # the guess on c may take the atom read before it, and a marker
+        # may take an atom read after it
+        aut = parse(
+            """
+            alphabet a 1
+            alphabet c 0
+            state p 0
+            state q 0
+            state r 1
+            state f 0
+            initial p
+            final f
+            trans p a(x) q
+            trans q c r(y)
+            trans r(y) a(y) f
+            """
+        )
+        for text in ("a(0) c a(0)", "a(0) c a(1)"):
+            assert accepts(aut, parse_word(text))
+        assert not accepts(aut, parse_word("a(0) c"))
+        words = enumerate_word_orbits(aut.alphabet, 3)
+        walked = dict(zip(words, accepts_each(aut, words)))
+        assert walked[parse_word("a(0) c a(0)")] and walked[parse_word("a(0) c a(1)")]
+
     def test_alphabet_mismatch(self):
         with pytest.raises(AlphabetMismatchError):
             accepts(LD, Word([Letter("anc", (1,))]))
@@ -112,14 +140,41 @@ class TestAcceptance:
         assert accepts(LN, w) == accepts(LN, w.rename(p))
 
     def test_accepts_from(self):
-        # from the registered middle state of Ld, acceptance needs the
+        # the release letter of the anchored twin starts a run in the
+        # registered middle state of Ld, holding 5; acceptance needs the
         # stored atom to come back as the last letter
-        assert accepts_from(LD, "q1", (5,), parse_word("a(5)"))
-        assert not accepts_from(LD, "q1", (5,), parse_word("a(6)"))
+        anc = anchor(LD)
+        assert accepts(anc, parse_word("q_q1(5) a(5)"))
+        assert not accepts(anc, parse_word("q_q1(5) a(6)"))
 
     def test_run_frontier_is_canonical(self):
         frontier = run_frontier(LD, parse_word("a(1)"))
         assert frontier == frozenset({("q1", (-1,))})
+
+
+class TestWalk:
+    """accepts_each steps every word once from its prefix's frontier and
+    demotes nothing; accepts runs each word alone and demotes the atoms
+    that do not occur again.  Both must give the same verdicts."""
+
+    @staticmethod
+    def assert_walk_agrees(aut, depth):
+        words = enumerate_word_orbits(aut.alphabet, depth)
+        walked = list(accepts_each(aut, words))
+        assert len(walked) == len(words)
+        for w, verdict in zip(words, walked):
+            assert verdict == accepts(aut, w), w.render()
+
+    @pytest.mark.parametrize(
+        "name", ["Ld", "Lngr", "Ln", "Lr", "Lng", "Compress", "Ak:1", "Ak:2", "Ak:3"]
+    )
+    def test_corpus_to_length_five(self, name):
+        self.assert_walk_agrees(corpus.get(name).automaton, 5)
+
+    def test_random_automata_to_length_four(self):
+        rng = random.Random(4242)
+        for _ in range(50):
+            self.assert_walk_agrees(random_automaton(rng), 4)
 
 
 class TestStructuralChecks:
@@ -186,33 +241,10 @@ class TestStructuralChecks:
 
 
 class TestCombinators:
-    def test_union_with_self(self):
-        u = union(LD, LD)
-        for w in enumerate_word_orbits(LD.alphabet, 3):
-            assert accepts(u, w) == accepts(LD, w)
-
-    def test_union_languages(self):
-        eps_only = parse("alphabet a 1\nstate q 0\ninitial q\nfinal q\n")
-        u = union(LD, eps_only)
-        assert accepts(u, parse_word("eps"))
-        assert accepts(u, parse_word("a(0) a(0)"))
-        assert not accepts(u, parse_word("a(0)"))
-
-    def test_union_rejects_alphabet_mismatch(self):
-        with pytest.raises(AlphabetMismatchError):
-            union(LD, corpus.get("Lr").automaton)
-
     def test_reverse_involution(self):
         rr = reverse(reverse(LD))
         for w in enumerate_word_orbits(LD.alphabet, 3):
             assert accepts(rr, w) == accepts(LD, w)
-
-    def test_reverse_of_first_letter_fresh_is_ln(self):
-        witness = corpus.first_letter_fresh_automaton()
-        rev = reverse(witness)
-        ln = corpus.get("Ln")
-        for w in enumerate_word_orbits(rev.alphabet, 4):
-            assert accepts(rev, w) == ln.predicate(w)
 
 
 class TestAnchoring:
@@ -266,11 +298,3 @@ class TestAnchoring:
         )
         with pytest.raises(ValueError):
             anchor(aut)
-
-
-class TestResidualityDiagnostic:
-    def test_deterministic_automaton_fully_explained(self):
-        assert bounded_residuality_witnesses(LD, 2) == []
-
-    def test_non_residual_automaton_flagged(self):
-        assert bounded_residuality_witnesses(LN, 2) != []

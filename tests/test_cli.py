@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -114,6 +115,18 @@ class TestOrbits:
         assert "k p(k)" in lines[1]
         assert lines[2] == "0 1"
         assert lines[-1] == "3 34"
+
+    def test_long_words_are_counted(self, capsys):
+        # Bell numbers by B(n+1) = sum_k C(n, k) B(k); far too many
+        # words to enumerate
+        bell = [1]
+        for n in range(30):
+            bell.append(sum(math.comb(n, k) * bell[k] for k in range(n + 1)))
+        code, out, _ = run(capsys, "orbits", "--max-len", "30")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == str(sum(bell))
+        assert lines[-1].startswith("30 ")
 
     def test_missing_alphabet_file(self, tmp_path, capsys):
         path = tmp_path / "missing.aut"

@@ -1,7 +1,7 @@
 import pytest
 
-from nomres.orbits import enumerate_word_orbits, parse_word
-from nomres.automaton import accepts, accepts_from, is_non_guessing, reverse
+from nomres.orbits import Letter, Word, enumerate_word_orbits, parse_word
+from nomres.automaton import accepts, anchor, is_non_guessing, reverse
 from nomres import corpus
 
 ALL_NAMES = ["Ld", "Lngr", "Ln", "Lr", "Lng", "Compress", "Ak:1", "Ak:2", "Ak:3"]
@@ -106,12 +106,18 @@ class TestMetadata:
             assert accepts(rev, w) == ln.predicate(w)
 
 
+# The release letter of Ak's anchored twin starts a run in the register
+# state s holding 0 and 1.
+RELEASE_S = Word([Letter("q_s", (0, 1))])
+
+
 class TestAkCharacterisingWords:
     def test_anchoring_word_of_length_k_characterises_register_state(self):
         """For Ak(2): anc(0) anc(1) pins the register set {0, 1}, and the
         derivative of that word equals the state's language on probes."""
         entry = corpus.get("Ak:2")
         aut = entry.automaton
+        anc = anchor(aut)
         anchor_word = parse_word("anc(0) anc(1)")
         probes = enumerate_word_orbits(aut.alphabet, 3)
         from nomres.orbits import split_into_a_orbits
@@ -119,12 +125,13 @@ class TestAkCharacterisingWords:
         for pat in probes:
             for u in split_into_a_orbits(pat, {0, 1}):
                 lhs = entry.predicate(anchor_word + u)
-                rhs = accepts_from(aut, "s", (0, 1), u)
+                rhs = accepts(anc, RELEASE_S + u)
                 assert lhs == rhs, u.render()
 
     def test_no_shorter_word_characterises_it(self):
         entry = corpus.get("Ak:2")
         aut = entry.automaton
+        anc = anchor(aut)
         probes = enumerate_word_orbits(aut.alphabet, 3)
         from nomres.orbits import split_into_a_orbits
 
@@ -135,7 +142,7 @@ class TestAkCharacterisingWords:
         ]
         for w in candidates:
             mismatch = any(
-                entry.predicate(w + u) != accepts_from(aut, "s", (0, 1), u)
+                entry.predicate(w + u) != accepts(anc, RELEASE_S + u)
                 for pat in probes
                 for u in split_into_a_orbits(pat, {0, 1})
             )

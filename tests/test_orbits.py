@@ -11,6 +11,7 @@ from nomres.orbits import (
     canonicalize,
     canonicalize_with_perm,
     count_partial_permutations,
+    count_word_orbits,
     enumerate_word_orbits,
     letter_patterns,
     parse_word,
@@ -146,6 +147,20 @@ class TestEnumeration:
                 [w for w in enumerate_word_orbits(ANC, length) if len(w) == length]
             )
             assert per_length == brute_orbit_count(ANC, length)
+
+    @pytest.mark.parametrize(
+        "constructors",
+        [[("a", 1)], [("a", 1), ("anc", 1)], [("a", 1), ("b", 2), ("c", 0)]],
+        ids=["a1", "a1-anc1", "a1-b2-c0"],
+    )
+    def test_count_without_enumerating(self, constructors):
+        alphabet = AlphabetSpec(constructors)
+        for length in range(6):
+            assert count_word_orbits(alphabet, length) == len(
+                enumerate_word_orbits(alphabet, length)
+            )
+        with pytest.raises(ValueError):
+            count_word_orbits(alphabet, -1)
 
     def test_each_representative_is_canonical_and_unique(self):
         seen = set()

@@ -117,6 +117,39 @@ class TestEquivalence:
         assert EquivalenceOracle(target, 3).equivalent(pair_only) is not None
 
 
+CORPUS_NAMES = ["Ld", "Lngr", "Ln", "Lr", "Lng", "Compress", "Ak:1", "Ak:2", "Ak:3"]
+
+
+class TestEquivalenceWalk:
+    """The prefix-sharing oracle returns the word a plain scan returns:
+    every corpus automaton as hypothesis against every corpus language
+    over the same alphabet, with predicate- and automaton-backed
+    targets."""
+
+    @staticmethod
+    def plain_scan(target, hyp, depth):
+        for w in enumerate_word_orbits(target.alphabet, depth):
+            if target.evaluate(w) != accepts(hyp, w):
+                return w
+        return None
+
+    @pytest.mark.parametrize("backing", ["predicate", "automaton"])
+    @pytest.mark.parametrize("target_name", CORPUS_NAMES)
+    def test_same_counterexample_as_plain_scan(self, target_name, backing):
+        entry = corpus.get(target_name)
+        alphabet = entry.automaton.alphabet
+        if backing == "predicate":
+            target = MembershipOracle(alphabet, predicate=entry.predicate)
+        else:
+            target = MembershipOracle(alphabet, automaton=entry.automaton)
+        for name in CORPUS_NAMES:
+            hyp = corpus.get(name).automaton
+            if hyp.alphabet != alphabet:
+                continue
+            got = EquivalenceOracle(target, 4).equivalent(hyp)
+            assert got == self.plain_scan(target, hyp, 4), (name, target_name)
+
+
 class TestTeacherFactories:
     def test_for_corpus_default_depth(self):
         teacher = for_corpus("Ld")
