@@ -32,7 +32,9 @@ from .rows import (
     dedup_by_orbit,
     first_difference,
     is_join_irreducible,
+    landing,
     orbit_equal,
+    placed_leq,
     row_leq,
     _realize,
 )
@@ -50,6 +52,15 @@ class TableNotClosed(RuntimeError):
 
 class TableNotConsistent(RuntimeError):
     pass
+
+
+class OutOfTime(RuntimeError):
+    """A table search passed its deadline (a ``time.monotonic()`` value)."""
+
+
+def _check_deadline(deadline):
+    if deadline is not None and time.monotonic() > deadline:
+        raise OutOfTime("wall-time budget exhausted")
 
 
 class ObservationTable:
@@ -70,8 +81,9 @@ class ObservationTable:
         self._family = None
         self._upper_index = None
         self._ji_cache = {}
-        self._leq_cache = {}
         self._rowof_cache = {}
+        self._extension_patterns = {}
+        self._letter_cache = {}
 
     # -- labels ---------------------------------------------------------
 
@@ -140,6 +152,18 @@ class ObservationTable:
             self._rowof_cache[w] = cached
         return cached
 
+    def _extension_pattern(self, label: Word, letter):
+        """row_of(label + letter) without building it: the least-support
+        row of the canonical label, and the atoms its support stands for."""
+        key = (label, letter)
+        cached = self._extension_patterns.get(key)
+        if cached is None:
+            pattern, perm = canonicalize_with_perm(label + letter)
+            base = self._rows[pattern].reduced()
+            cached = (base, tuple(perm[a] for a in base.support))
+            self._extension_patterns[key] = cached
+        return cached
+
     def entry(self, w: Word, e: Word) -> bool:
         """The stored bit for any concrete label and column in closure."""
         key = canonicalize(w + e)
@@ -183,13 +207,15 @@ class ObservationTable:
 
     # -- closedness -------------------------------------------------------
 
-    def find_closedness_defect(self) -> Optional[Word]:
+    def find_closedness_defect(self, deadline=None) -> Optional[Word]:
         """The shortest extension label whose row is join-irreducible but
-        not an upper row, in enumeration order; None when join-closed."""
+        not an upper row, in enumeration order; None when join-closed.
+        Raises `OutOfTime` once ``deadline`` has passed."""
         self._require_filled()
         for label in self.all_labels():
             if len(label) <= self.length:
                 continue  # its row is an upper row by definition
+            _check_deadline(deadline)
             r = self._rows[label]
             if self._is_upper(r):
                 continue
@@ -206,51 +232,99 @@ class ObservationTable:
 
     # -- consistency ------------------------------------------------------
 
-    def _label_leq(self, w1: Word, w2: Word) -> bool:
-        cached = self._leq_cache.get((w1, w2))
-        if cached is None:
-            cached = row_leq(self.row_of(w1), self.row_of(w2))
-            self._leq_cache[(w1, w2)] = cached
-        return cached
+    def _extension_leq(self, s1: Word, s2: Word, letter) -> bool:
+        """row_of(s1 + letter) <= row_of(s2 + letter), decided on the two
+        labels' least-support rows and where their supports meet."""
+        r1, atoms1 = self._extension_pattern(s1, letter)
+        r2, atoms2 = self._extension_pattern(s2, letter)
+        return placed_leq(r1, r2, landing(atoms1, atoms2))
 
-    def _ordered_pairs(self):
+    def _ordered_pairs(self, deadline=None):
         """Every (s1, s2c) with s1 in S, s2c a placement of some s2 in S
         relative to s1, and row(s1) <= row(s2c), in search order;
-        placements cover overlapping supports."""
+        placements cover overlapping supports.
+
+        row(s1) <= inj.row(s2) iff inj^-1.row(s1) <= row(s2), which only
+        depends on the two least-support rows and on where inj lands the
+        support of row(s2) inside that of row(s1).  Each landing is
+        decided once per pair of row values, and s2c is built only for
+        the pairs it yields.
+        """
         labels = self.s_labels()
+        injections = {}  # (k2, k1) -> partial injections of sup2 into sup1
+        landings = {}  # -> per injection, the landing of row(s2) on row(s1)
+        verdicts = {}  # (row(s1), row(s2)) as (size, bits) -> {landing: below}
+        # one word object per placed label, so that the memo keys holding
+        # it compare by identity
+        placed = {}
+        interned = {s: s for s in labels}
         for s1 in labels:
+            _check_deadline(deadline)
             sup1 = sorted(frozenset(s1.atoms()))
+            r1 = self._rows[s1].reduced()
             for s2 in labels:
                 sup2 = sorted(frozenset(s2.atoms()))
-                for inj in partial_injections(sup2, sup1):
-                    s2c = s2.rename(_realize(inj, sup2, sup1))
-                    if self._label_leq(s1, s2c):
-                        yield s1, s2c
+                r2 = self._rows[s2].reduced()
+                shape = (len(sup2), len(sup1))
+                if shape not in injections:
+                    injections[shape] = list(partial_injections(sup2, sup1))
+                injs = injections[shape]
+                key = shape + (r2.support, r1.support)
+                if key not in landings:
+                    landings[key] = [
+                        landing([inj.get(b) for b in r2.support], r1.support)
+                        for inj in injs
+                    ]
+                known = verdicts.setdefault(
+                    (len(r1.support), r1.bits, len(r2.support), r2.bits), {}
+                )
+                for n, land in enumerate(landings[key]):
+                    below = known.get(land)
+                    if below is None:
+                        pattern = tuple(sorted((i, j) for j, i in land))
+                        below = known[land] = placed_leq(r1, r2, pattern)
+                    if not below:
+                        continue
+                    s2c = placed.get((s2, len(sup1), n))
+                    if s2c is None:
+                        s2c = s2.rename(_realize(injs[n], sup2, sup1))
+                        s2c = interned.setdefault(s2c, s2c)
+                        placed[s2, len(sup1), n] = s2c
+                    yield s1, s2c
 
-    def find_consistency_defect(self):
+    def find_consistency_defect(self, deadline=None):
         """A tuple (s1, s2, a, e) with row(s1) <= row(s2) yet a.e telling
-        their extensions apart."""
+        their extensions apart.  Raises `OutOfTime` once ``deadline`` has
+        passed."""
         self._require_filled()
-        tags = sorted(self.alphabet.tags)
-        for s1, s2c in self._ordered_pairs():
+        for s1, s2c in self._ordered_pairs(deadline):
             if s2c == s1:
                 continue
-            defect = self._extension_defect(s1, s2c, tags)
+            defect = self._extension_defect(s1, s2c)
             if defect is not None:
                 return defect
         return None
 
-    def _extension_defect(self, s1, s2c, tags):
+    def _letters(self, joint):
+        """One letter per joint-orbit of letters, in search order."""
+        cached = self._letter_cache.get(joint)
+        if cached is None:
+            cached = self._letter_cache[joint] = [
+                inst[0]
+                for tag in sorted(self.alphabet.tags)
+                for base in letter_patterns(tag, self.alphabet.arity(tag))
+                for inst in split_into_a_orbits(Word([base]), joint)
+            ]
+        return cached
+
+    def _extension_defect(self, s1, s2c):
         joint = frozenset(s1.atoms()) | frozenset(s2c.atoms())
-        for tag in tags:
-            for base in letter_patterns(tag, self.alphabet.arity(tag)):
-                for inst in split_into_a_orbits(Word([base]), joint):
-                    letter = inst[0]
-                    w1 = s1 + letter
-                    w2 = s2c + letter
-                    if not self._label_leq(w1, w2):
-                        e = first_difference(self.row_of(w1), self.row_of(w2))
-                        return (s1, s2c, letter, e)
+        for letter in self._letters(joint):
+            if not self._extension_leq(s1, s2c, letter):
+                e = first_difference(
+                    self.row_of(s1 + letter), self.row_of(s2c + letter)
+                )
+                return (s1, s2c, letter, e)
         return None
 
     def consistency_step(self, defect):
@@ -327,19 +401,20 @@ class ObservationTable:
                         fresh_start=fresh_atom(owner_atoms | frozenset(regs)),
                     ):
                         letter = inst[0]
-                        w = owner + letter
+                        target, atoms = self._extension_pattern(owner, letter)
                         scope = frozenset(regs) | frozenset(letter.atoms)
                         for j, (_, _, cand) in enumerate(chosen):
                             for inj in partial_injections(
                                 cand.support, sorted(scope)
                             ):
+                                image = [inj.get(a) for a in cand.support]
+                                if not placed_leq(
+                                    cand, target, landing(image, atoms)
+                                ):
+                                    continue
                                 placement = _realize(
                                     inj, cand.support, scope | owner_atoms
                                 )
-                                if first_difference(
-                                    cand, self.row_of(w), placement
-                                ) is not None:
-                                    continue
                                 transitions.append(
                                     self._line(name, regs, letter, f"q{j}",
                                                tuple(placement[a] for a in cand.support))
@@ -411,6 +486,9 @@ class LearnStats:
     consistency_rounds: int = 0
     final_l: int = 0
     diverged: bool = False
+    # which budget ran out: "length", "equivalence" or "wall_time";
+    # None when the run converged
+    divergence_reason: Optional[str] = None
     wall_time: float = 0.0
     agreement_violations: int = 0
 
@@ -444,60 +522,61 @@ def learn(teacher, budget: LearnBudget = None, check_agreement=True,
     budget = budget or LearnBudget()
     stats = LearnStats()
     start = time.monotonic()
+    deadline = None if budget.wall_time is None else start + budget.wall_time
     emit = log if log is not None else (lambda line: None)
     table = ObservationTable(teacher.alphabet, oracle=teacher.membership)
     table.fill()
 
-    def out_of_time():
-        return budget.wall_time is not None and (
-            time.monotonic() - start > budget.wall_time
-        )
-
-    def finish(hyp):
+    def finish(hyp, reason=None):
         stats.final_l = table.length
         stats.membership_queries = teacher.membership.query_count
         stats.wall_time = time.monotonic() - start
         stats.diverged = hyp is None
+        stats.divergence_reason = reason
         emit("diverged" if hyp is None else "accepted")
         return LearnResult(hyp, stats)
 
     while True:
-        while True:
-            if out_of_time():
-                return finish(None)
-            progressed = False
-            defect = table.find_closedness_defect()
-            if defect is not None:
-                if len(defect) > budget.max_length:
-                    emit(f"not-closed {defect.render()} exceeds length budget")
-                    return finish(None)
-                emit(
-                    f"not-closed {defect.render()} "
-                    f"row={table.row(defect).render()}; growing S to length {len(defect)}"
+        try:
+            while True:
+                _check_deadline(deadline)
+                progressed = False
+                defect = table.find_closedness_defect(deadline)
+                if defect is not None:
+                    if len(defect) > budget.max_length:
+                        emit(f"not-closed {defect.render()} exceeds length budget")
+                        return finish(None, "length")
+                    emit(
+                        f"not-closed {defect.render()} "
+                        f"row={table.row(defect).render()}; "
+                        f"growing S to length {len(defect)}"
+                    )
+                    table.close_step(defect)
+                    stats.closedness_rounds += 1
+                    progressed = True
+                mismatch = table.find_consistency_defect(deadline)
+                if mismatch is not None:
+                    s1, s2, letter, e = mismatch
+                    emit(
+                        f"not-consistent ({s1.render()}, {s2.render()}) "
+                        f"split by {letter.render()}.{e.render()}; growing E"
+                    )
+                    table.consistency_step(mismatch)
+                    stats.consistency_rounds += 1
+                    progressed = True
+                if not progressed:
+                    break
+            hyp = table.build_hypothesis(verify_preconditions=False)
+            emit(f"hypothesis with {hyp.state_orbit_count()} state orbits")
+            if check_agreement:
+                stats.agreement_violations += len(
+                    hypothesis_agreement_violations(table, hyp)
                 )
-                table.close_step(defect)
-                stats.closedness_rounds += 1
-                progressed = True
-            mismatch = table.find_consistency_defect()
-            if mismatch is not None:
-                s1, s2, letter, e = mismatch
-                emit(
-                    f"not-consistent ({s1.render()}, {s2.render()}) "
-                    f"split by {letter.render()}.{e.render()}; growing E"
-                )
-                table.consistency_step(mismatch)
-                stats.consistency_rounds += 1
-                progressed = True
-            if not progressed:
-                break
-        hyp = table.build_hypothesis(verify_preconditions=False)
-        emit(f"hypothesis with {hyp.state_orbit_count()} state orbits")
-        if check_agreement:
-            stats.agreement_violations += len(
-                hypothesis_agreement_violations(table, hyp)
-            )
-        if stats.equivalence_queries >= budget.max_equivalence or out_of_time():
-            return finish(None)
+            if stats.equivalence_queries >= budget.max_equivalence:
+                return finish(None, "equivalence")
+            _check_deadline(deadline)
+        except OutOfTime:
+            return finish(None, "wall_time")
         stats.equivalence_queries += 1
         cex = teacher.equivalence.equivalent(hyp)
         if cex is None:

@@ -113,10 +113,11 @@ class Letter:
 class Word:
     """A sequence of letters over one alphabet; treated as immutable."""
 
-    __slots__ = ("letters",)
+    __slots__ = ("letters", "_hash")
 
     def __init__(self, letters=()):
         self.letters = tuple(letters)
+        self._hash = None
 
     def __len__(self):
         return len(self.letters)
@@ -138,7 +139,9 @@ class Word:
         return isinstance(other, Word) and self.letters == other.letters
 
     def __hash__(self):
-        return hash(self.letters)
+        if self._hash is None:
+            self._hash = hash(self.letters)
+        return self._hash
 
     def atoms(self):
         """All atom occurrences, in positional order."""

@@ -1,20 +1,24 @@
 """The nominal join-semilattice of finitely supported rows.
 
 A row is a finitely supported subset of the (equivariant, orbit-finite)
-column set E, stored as booleans over the supp-orbit representatives of
-each column orbit: the value at any concrete column e is the stored bit
-at the canonical form of e relative to the row's support.  Order is
-pointwise implication, joins are pointwise disjunction, and everything
-quantifying over "all renamings of a row" boils down to finitely many
-placement patterns of its support.
+column set E, stored as one int bit mask over its basis
+``columns.instances(support)``: bit i is the value at the i-th
+supp-orbit representative, and the value at any concrete column e is
+the bit of the canonical form of e relative to the row's support.
+Order is pointwise implication, joins are pointwise union, and
+everything quantifying over "all renamings of a row" boils down to
+finitely many placement patterns of its support.
 
-A placement is a plain dict {own atom: placed atom}, injective and
-defined on the whole support of the row it places; atoms the pattern
-leaves unplaced go to fresh atoms (`_realize`).  The placed row is read
-backwards through the inverse dict, which is defined exactly on the
-placed support: every other atom of a column is outside it, so it is
-relabelled fresh (`Row.value_mapped`).  Every order, equality and
-witness check is one loop over joint column instances
+A placement is a plain dict {own atom: placed atom}, injective on the
+support of the row it places.  Whether a placed copy of r1 sits below
+(or equals) r2 depends only on its pattern: which positions of r1's
+support land on which positions of r2's support.  Every other atom
+lands outside supp(r2), where any fresh atom does the same.  Bases of
+equally large supports list their instances in the same order, so the
+column set keeps one placement map per pattern
+(`ColumnSet.placement_map`), and a placed check is a few int operations
+on the two masks (`placed_leq`); no word is built.  A concrete witness
+column is found by one loop over joint column instances
 (`first_difference`).
 """
 
@@ -40,12 +44,20 @@ class ColumnError(KeyError):
 
 
 class ColumnSet:
-    """Orbit representatives of the column set E: suffix-closed, has eps."""
+    """Orbit representatives of the column set E: suffix-closed, has eps.
+
+    The instance tuples, their position indexes and the placement maps
+    are cached for the current version only: adding a column orbit
+    clears them.
+    """
 
     def __init__(self, patterns=()):
         self._patterns = []
         self._seen = set()
         self._instances = {}
+        self._index = {}
+        self._shapes = {}
+        self._maps = {}
         self.version = 0
         self.add(EMPTY_WORD)
         for p in patterns:
@@ -63,6 +75,9 @@ class ColumnSet:
         if changed:
             self.version += 1
             self._instances.clear()
+            self._index.clear()
+            self._shapes.clear()
+            self._maps.clear()
         return changed
 
     def instances(self, fixed) -> tuple:
@@ -82,6 +97,76 @@ class ColumnSet:
             self._instances[fixed] = cached
         return cached
 
+    def index(self, fixed) -> dict:
+        """{instance: its position in ``instances(fixed)``}, cached."""
+        fixed = frozenset(fixed)
+        cached = self._index.get(fixed)
+        if cached is None:
+            cached = {e: i for i, e in enumerate(self.instances(fixed))}
+            self._index[fixed] = cached
+        return cached
+
+    def _shape_index(self, n: int) -> dict:
+        """{(column orbit number, block assignment): basis position} for
+        any support of n atoms, cached.
+
+        Blocks are the distinct atoms of a column pattern; each goes to
+        a position of the sorted support, or to -1 for a fresh atom.
+        This is the order of ``instances``, whatever the atoms are.
+        """
+        cached = self._shapes.get(n)
+        if cached is None:
+            cached = {}
+            for p, pattern in enumerate(self._patterns):
+                blocks = range(len(frozenset(pattern.atoms())))
+                for inj in partial_injections(blocks, range(n)):
+                    key = (p, tuple(inj.get(b, -1) for b in blocks))
+                    cached[key] = len(cached)
+            self._shapes[n] = cached
+        return cached
+
+    def placement_map(self, n1: int, n2: int, pattern: tuple):
+        """How a placed row on n1 atoms meets a row on n2 atoms, cached.
+
+        ``pattern`` lists the pairs (i, j) where atom i of the placed
+        support lands on atom j of the target support; the other placed
+        atoms land outside it.  Returns ``(up, down)``: ``up[i]`` masks
+        the target basis positions that share a joint column instance
+        with placed basis position i, and ``down[j]`` the placed
+        positions sharing one with target position j.
+        """
+        key = (n1, n2, pattern)
+        cached = self._maps.get(key)
+        if cached is None:
+            # the joint support is 0..m-1: the target's atoms first, then
+            # the placed atoms that land outside it
+            landing = dict(pattern)
+            m = n2
+            for i in range(n1):
+                if i not in landing:
+                    landing[i] = m
+                    m += 1
+            inv = {b: i for i, b in landing.items()}
+            own = self._shape_index(n1)
+            index = self._shape_index(n2)
+            up = [0] * len(own)
+            down = [0] * len(index)
+            for p, column in enumerate(self._patterns):
+                blocks = range(len(frozenset(column.atoms())))
+                for inj in partial_injections(blocks, range(m)):
+                    seen1 = []
+                    seen2 = []
+                    for b in blocks:
+                        x = inj.get(b, -1)
+                        seen1.append(inv.get(x, -1))
+                        seen2.append(x if x < n2 else -1)
+                    i = own[(p, tuple(seen1))]
+                    j = index[(p, tuple(seen2))]
+                    up[i] |= 1 << j
+                    down[j] |= 1 << i
+            cached = self._maps[key] = (tuple(up), tuple(down))
+        return cached
+
     def __iter__(self):
         return iter(self._patterns)
 
@@ -95,45 +180,62 @@ class ColumnSet:
         return f"ColumnSet({[p.render() for p in self._patterns]})"
 
 
+def _spread(bits: int, up) -> int:
+    """The union of ``up[i]`` over the set bits i of ``bits``."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        out |= up[low.bit_length() - 1]
+        bits ^= low
+    return out
+
+
 class Row:
-    """A finitely supported subset of the columns, owned by a word label."""
+    """A finitely supported subset of the columns, owned by a word label.
 
-    __slots__ = ("owner", "support", "support_set", "entries", "columns",
-                 "_reduced", "_invariant", "_nonempty", "_vcache", "_fresh")
+    ``bits`` has bit i set when the row holds the i-th instance of its
+    basis ``columns.instances(support)``, as it stood when the row was
+    built (``version``).
+    """
 
-    def __init__(self, owner: Word, support, entries, columns: ColumnSet):
+    __slots__ = ("owner", "support", "support_set", "bits", "columns",
+                 "version", "_index", "_reduced", "_invariant")
+
+    def __init__(self, owner: Word, support, bits: int, columns: ColumnSet):
         self.owner = owner
         self.support = tuple(sorted(support))
         self.support_set = frozenset(self.support)
-        self.entries = entries
+        self.bits = bits
         self.columns = columns
+        self.version = columns.version
+        self._index = columns.index(self.support_set)
         self._reduced = None
         self._invariant = None
-        self._nonempty = None
-        self._vcache = {}
-        self._fresh = fresh_atom(self.support_set)
 
     @classmethod
     def build(cls, owner: Word, columns: ColumnSet, value_of, support=None):
         """Fill a row by evaluating `value_of` on each basis column."""
         sup = frozenset(owner.atoms()) if support is None else frozenset(support)
-        entries = {}
-        for e in columns.instances(sup):
-            entries[e] = bool(value_of(e))
-        return cls(owner, sup, entries, columns)
+        bits = 0
+        for i, e in enumerate(columns.instances(sup)):
+            if value_of(e):
+                bits |= 1 << i
+        return cls(owner, sup, bits, columns)
+
+    @property
+    def entries(self) -> dict:
+        """{basis column: value}, in basis order."""
+        return {e: bool(self.bits >> i & 1) for e, i in self._index.items()}
+
+    def _bit(self, key: Word, e: Word) -> bool:
+        i = self._index.get(key)
+        if i is None:
+            raise ColumnError(f"column {e.render()} is not in E")
+        return bool(self.bits >> i & 1)
 
     def value(self, e: Word) -> bool:
         """Membership of a concrete column, via its support-canonical form."""
-        cached = self._vcache.get(e)
-        if cached is not None:
-            return cached
-        key = a_canonicalize(e, self.support_set)
-        try:
-            v = self.entries[key]
-        except KeyError:
-            raise ColumnError(f"column {e.render()} is not in E") from None
-        self._vcache[e] = v
-        return v
+        return self._bit(a_canonicalize(e, self.support_set), e)
 
     def value_mapped(self, inv, e: Word) -> bool:
         """The value of the placed row at e; ``inv`` is the inverse of the
@@ -145,7 +247,7 @@ class Row:
         row's support, becomes a fresh atom by first occurrence.
         """
         relabel = {}
-        nxt = self._fresh
+        nxt = fresh_atom(self.support_set)
         letters = []
         for letter in e.letters:
             atoms = []
@@ -158,31 +260,30 @@ class Row:
                         nxt += 1
                 atoms.append(b)
             letters.append(Letter(letter.tag, tuple(atoms)))
-        try:
-            return self.entries[Word(letters)]
-        except KeyError:
-            raise ColumnError(f"column {e.render()} is not in E") from None
+        return self._bit(Word(letters), e)
 
     def is_empty(self) -> bool:
-        if self._nonempty is None:
-            self._nonempty = any(self.entries.values())
-        return not self._nonempty
+        return not self.bits
 
     def apply_perm(self, p) -> "Row":
         """The row renamed by ``p``, a dict injective on the owner's atoms."""
-        inv = {p[a]: a for a in self.support}
-        return Row.build(
-            self.owner.rename(p),
-            self.columns,
-            lambda e: self.value_mapped(inv, e),
-            support=frozenset(inv),
+        _check_current(self)
+        moved = Row(self.owner.rename(p), (p[a] for a in self.support), 0,
+                    self.columns)
+        # a bijection between the two supports: each basis instance meets
+        # exactly one instance of the other basis
+        up, _ = self.columns.placement_map(
+            len(self.support),
+            len(moved.support),
+            landing([p[a] for a in self.support], moved.support),
         )
+        moved.bits = _spread(self.bits, up)
+        return moved
 
     def _removable(self, atom) -> bool:
         """Is the subset unchanged when this atom is swapped with a fresh one?"""
-        swap = {a: a for a in self.support}
-        swap[atom] = fresh_atom(self.support_set)
-        return first_difference(self, self, swap, equal=True) is None
+        pattern = tuple((i, i) for i, a in enumerate(self.support) if a != atom)
+        return placed_leq(self, self, pattern, equal=True)
 
     def reduced(self) -> "Row":
         """The same subset re-based on its least support.
@@ -231,23 +332,60 @@ class Row:
         return f"Row({self.owner.render()!r}: {self.render()})"
 
 
-def first_difference(r1: Row, r2: Row, placement=None, equal=False):
-    """The first joint column instance where r1 is true and r2 false (with
-    ``equal``: where they differ), or None when there is none.
+def _check_current(*rows):
+    """Bits index the basis a row was built on; placement maps index
+    the current one."""
+    for r in rows:
+        if r.version != r.columns.version:
+            raise ColumnError("row was built before its column set grew")
 
-    With a ``placement`` of r1's support, r1 is read as its placed copy.
+
+def landing(image, support) -> tuple:
+    """The placement pattern of a support whose atoms go to ``image``, in
+    order, relative to a row on ``support``: the pairs (i, j) with
+    image[i] == support[j]."""
+    at = {b: j for j, b in enumerate(support)}
+    return tuple((i, at[b]) for i, b in enumerate(image) if b in at)
+
+
+def placed_leq(r1: Row, r2: Row, pattern: tuple, equal=False) -> bool:
+    """Does the copy of r1 placed by ``pattern`` sit below r2 (with
+    ``equal``: coincide with it)?
+
+    ``pattern`` pairs positions (i, j), increasing in i: atom i of r1's
+    support lands on atom j of r2's support, and every other atom lands
+    outside supp(r2).
+    """
+    _check_current(r1, r2)
+    up, down = r2.columns.placement_map(len(r1.support), len(r2.support), pattern)
+    return not _meets(r1.bits, up, r2.bits, down) and not (
+        equal and _meets(r2.bits, down, r1.bits, up)
+    )
+
+
+def _meets(b1: int, up, b2: int, down) -> bool:
+    """Is some joint instance in b1 on one side and outside b2 on the
+    other?  Walks the sparser of b1 and the complement of b2."""
+    missing = ((1 << len(down)) - 1) & ~b2
+    if missing.bit_count() < b1.bit_count():
+        b1, up, missing = missing, down, b1
+    while b1:
+        low = b1 & -b1
+        if up[low.bit_length() - 1] & missing:
+            return True
+        b1 ^= low
+    return False
+
+
+def first_difference(r1: Row, r2: Row):
+    """The first joint column instance where r1 is true and r2 false, or
+    None when there is none.
+
     The instances are those of the joint support, which are all the
     columns the two rows can disagree on.
     """
-    if placement is None:
-        inv = None
-        placed = r1.support_set
-    else:
-        inv = {b: a for a, b in placement.items()}
-        placed = frozenset(inv)
-    for e in r2.columns.instances(placed | r2.support_set):
-        v1 = r1.value(e) if inv is None else r1.value_mapped(inv, e)
-        if (v1 or equal) and v1 != r2.value(e):
+    for e in r2.columns.instances(r1.support_set | r2.support_set):
+        if r1.value(e) and not r2.value(e):
             return e
     return None
 
@@ -256,12 +394,12 @@ def row_leq(r1: Row, r2: Row) -> bool:
     """Pointwise inclusion, decided on joint-support representatives."""
     if r1.columns is not r2.columns and list(r1.columns) != list(r2.columns):
         raise ValueError("rows over different column sets")
-    return first_difference(r1, r2) is None
+    return placed_leq(r1, r2, landing(r1.support, r2.support))
 
 
 def row_eq(r1: Row, r2: Row) -> bool:
     """Denotation equality, decided on joint-support representatives."""
-    return first_difference(r1, r2, equal=True) is None
+    return placed_leq(r1, r2, landing(r1.support, r2.support), equal=True)
 
 
 def _realize(mapping, own_support, avoid):
@@ -286,18 +424,18 @@ def _survivors(t: Row, family, strict, uniform_support):
     atoms land on which atoms of supp(t); the remaining atoms are fresh.
     """
     out = []
-    t_sorted = tuple(sorted(t.support_set))
+    positions = range(len(t.support))
     for y0 in family:
         y = y0.reduced()
-        for tpat in partial_injections(y.support, t_sorted):
+        for tpat in partial_injections(range(len(y.support)), positions):
             if uniform_support and len(tpat) != len(y.support):
                 continue
-            placement = _realize(tpat, y.support, t.support_set)
-            if first_difference(y, t, placement) is not None:
+            pattern = tuple(tpat.items())
+            if not placed_leq(y, t, pattern):
                 continue
-            if strict and first_difference(y, t, placement, equal=True) is None:
+            if strict and placed_leq(y, t, pattern, equal=True):
                 continue
-            out.append((y, tpat))
+            out.append((y, pattern))
     return out
 
 
@@ -305,36 +443,19 @@ def join_below(target: Row, family, strict=False, uniform_support=False) -> Row:
     """The join of every renamed family row below the target.
 
     Returns, as a row on the target's (least) support, the pointwise
-    disjunction of all placed copies pi.y with pi.y <= target (< when strict;
-    supp(pi.y) inside supp(target) when uniform_support).  For each
-    column the placements extend over the column's own fresh atoms,
-    since a copy may meet the column outside the target's support.
+    union of all placed copies pi.y with pi.y <= target (< when strict;
+    supp(pi.y) inside supp(target) when uniform_support).  A copy's
+    unplaced atoms range over everything outside the target's support,
+    so at a target basis column it counts wherever some joint instance
+    over that column holds: its bits spread upwards through the
+    placement map.
     """
     t = target.reduced()
-    survivors = _survivors(t, family, strict, uniform_support)
-    entries = {}
-    for e in t.columns.instances(t.support_set):
-        e_extra = sorted(frozenset(e.atoms()) - t.support_set)
-        val = False
-        for y, tpat in survivors:
-            free = [a for a in y.support if a not in tpat]
-            if uniform_support:
-                extensions = ({},)
-            else:
-                extensions = partial_injections(free, e_extra)
-            for ext in extensions:
-                full = dict(tpat)
-                full.update(ext)
-                placed = _realize(
-                    full, y.support, t.support_set | frozenset(e.atoms())
-                )
-                if y.value_mapped({b: a for a, b in placed.items()}, e):
-                    val = True
-                    break
-            if val:
-                break
-        entries[e] = val
-    return Row(target.owner, t.support_set, entries, target.columns)
+    bits = 0
+    for y, pattern in _survivors(t, family, strict, uniform_support):
+        up, _ = t.columns.placement_map(len(y.support), len(t.support), pattern)
+        bits |= _spread(y.bits, up)
+    return Row(target.owner, t.support_set, bits, target.columns)
 
 
 def is_join_irreducible(r: Row, family, uniform_support=False) -> bool:
@@ -366,8 +487,8 @@ def orbit_equal(r1: Row, r2: Row) -> bool:
     if a.orbit_invariant() != b.orbit_invariant():
         return False
     return any(
-        first_difference(a, b, dict(zip(a.support, image)), equal=True) is None
-        for image in itertools.permutations(b.support)
+        placed_leq(a, b, tuple(enumerate(image)), equal=True)
+        for image in itertools.permutations(range(len(b.support)))
     )
 
 

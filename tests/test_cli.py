@@ -159,6 +159,7 @@ class TestLearn:
             "consistency_rounds", "final_l", "diverged",
         }
         assert stats["diverged"] is False
+        assert stats["divergence_reason"] is None
 
     def test_eq_depth_defaults(self, tmp_path, capsys):
         # no --eq-depth: known characterising length doubles plus one,
@@ -184,7 +185,9 @@ class TestLearn:
         )
         assert code == 1
         assert out.strip() == "DIVERGED"
-        assert json.loads(stats_path.read_text())["diverged"] is True
+        stats = json.loads(stats_path.read_text())
+        assert stats["diverged"] is True
+        assert stats["divergence_reason"] == "length"
 
     def test_learn_output_is_deterministic(self, tmp_path, capsys):
         outs = []

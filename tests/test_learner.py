@@ -1,11 +1,17 @@
+import time
+
 import pytest
 
 from nomres.orbits import (
     AlphabetSpec,
     EMPTY_WORD,
+    Word,
     canonicalize,
     enumerate_word_orbits,
+    letter_patterns,
     parse_word,
+    partial_injections,
+    split_into_a_orbits,
 )
 from nomres.automaton import accepts
 from nomres.learner import (
@@ -16,6 +22,7 @@ from nomres.learner import (
     hypothesis_agreement_violations,
     learn,
 )
+from nomres.rows import _realize, row_leq
 from nomres.teacher import MembershipOracle, for_corpus, for_language
 from nomres import corpus
 
@@ -120,7 +127,7 @@ class TestConsistency:
         s1, s2, letter, e = defect
         assert t.entry(s1 + letter, e) and not t.entry(s2 + letter, e)
         # the pair itself is ordered
-        assert t._label_leq(s1, s2)
+        assert row_leq(t.row_of(s1), t.row_of(s2))
 
     def test_consistency_step_extends_columns_and_refines(self):
         t = table_for("Ak:2", length=2, columns=["a(0) a(0)"])
@@ -140,6 +147,82 @@ class TestConsistency:
         cols = set(t.columns)
         t.consistency_step(t.find_consistency_defect())
         assert cols <= set(t.columns)
+
+
+def _reference_leq(t, w1, w2):
+    """row(w1) <= row(w2) twice over, from concrete renamed rows: once
+    through row_of + row_leq, once straight off the membership answers
+    on every column instance over the atoms of both words."""
+    by_rows = row_leq(t.row_of(w1), t.row_of(w2))
+    joint = frozenset(w1.atoms()) | frozenset(w2.atoms())
+    by_answers = all(
+        not t.entry(w1, e) or t.entry(w2, e) for e in t.columns.instances(joint)
+    )
+    assert by_rows == by_answers, (w1.render(), w2.render())
+    return by_rows
+
+
+def _placed_pairs(t):
+    """Every (s1, s2c) of S x S placements, in search order."""
+    labels = t.s_labels()
+    for s1 in labels:
+        sup1 = sorted(frozenset(s1.atoms()))
+        for s2 in labels:
+            sup2 = sorted(frozenset(s2.atoms()))
+            for inj in partial_injections(sup2, sup1):
+                yield s1, s2.rename(_realize(inj, sup2, sup1))
+
+
+def _letters(t, joint):
+    for tag in sorted(t.alphabet.tags):
+        for base in letter_patterns(tag, t.alphabet.arity(tag)):
+            for inst in split_into_a_orbits(Word([base]), joint):
+                yield inst[0]
+
+
+class TestPatternComparison:
+    """The consistency search compares least-support rows through
+    placement patterns; a brute-force reference on concrete rows must
+    agree with it everywhere it looks."""
+
+    TABLES = [
+        ("Ln", 3, ["a(0) a(0)"]),
+        ("Lng", 3, ["a(0) a(0) a(0) a(1)"]),
+        ("Ak:2", 2, ["a(0) a(0)"]),
+    ]
+
+    @pytest.mark.parametrize("name,length,columns", TABLES)
+    def test_agrees_with_concrete_rows(self, name, length, columns):
+        t = table_for(name, length=length, columns=columns)
+        ordered = set()
+        reference_defect = None
+        checked = 0
+        for s1, s2c in _placed_pairs(t):
+            if not _reference_leq(t, s1, s2c):
+                continue
+            ordered.add((s1, s2c))
+            if s2c == s1:
+                continue
+            joint = frozenset(s1.atoms()) | frozenset(s2c.atoms())
+            for letter in _letters(t, joint):
+                w1, w2 = s1 + letter, s2c + letter
+                expected = _reference_leq(t, w1, w2)
+                assert t._extension_leq(s1, s2c, letter) == expected
+                checked += 1
+                if not expected and reference_defect is None:
+                    r1, r2 = t.row_of(w1), t.row_of(w2)
+                    e = next(
+                        e
+                        for e in t.columns.instances(
+                            r1.support_set | r2.support_set
+                        )
+                        if t.entry(w1, e) and not t.entry(w2, e)
+                    )
+                    reference_defect = (s1, s2c, letter, e)
+        assert checked
+        assert t.consistency_preorder() == frozenset(ordered)
+        # Ak:2's table has a defect (test_known_inconsistent_fixture)
+        assert t.find_consistency_defect() == reference_defect
 
 
 class TestCounterexamples:
@@ -264,6 +347,30 @@ class TestLearnLoop:
             teacher, LearnBudget(max_equivalence=50, max_length=8, wall_time=0.5)
         )
         assert result.diverged
+
+    def test_wall_time_deadline_inside_searches(self):
+        """The closedness and consistency searches check the deadline
+        (per label), so a 0.5 s budget on Lng ends within 1.5 s of it."""
+        teacher = for_corpus("Lng", eq_depth=5)
+        start = time.monotonic()
+        result = learn(
+            teacher, LearnBudget(max_equivalence=50, max_length=8, wall_time=0.5)
+        )
+        elapsed = time.monotonic() - start
+        assert result.diverged
+        assert result.stats.divergence_reason == "wall_time"
+        assert elapsed < 0.5 + 1.5
+
+    def test_divergence_reason(self):
+        def reason(name, **budget):
+            result = learn(for_corpus(name, eq_depth=6), LearnBudget(**budget))
+            assert result.stats.diverged == (result.stats.divergence_reason is not None)
+            return result.stats.divergence_reason
+
+        assert reason("Ld", max_equivalence=20, max_length=4) is None
+        assert reason("Ln", max_equivalence=20, max_length=3) == "length"
+        # Ld needs two equivalence queries
+        assert reason("Ld", max_equivalence=1, max_length=4) == "equivalence"
 
     def test_stats_shape(self):
         teacher = for_corpus("Compress", eq_depth=5)

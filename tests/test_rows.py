@@ -126,6 +126,13 @@ class TestRowOrder:
             if row_leq(r, pr):
                 assert row_eq(r, pr)
 
+    def test_row_built_before_columns_grew_is_refused(self):
+        cs = columns_upto("a(0)")
+        r = language_row("a(1)", cs, LD)
+        cs.add(parse_word("a(0) a(0)"))
+        with pytest.raises(ColumnError):
+            row_leq(r, r)
+
     def test_transitivity_on_random_rows(self):
         cs = lattice_columns()
         rng = random.Random(11)
