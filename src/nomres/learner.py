@@ -33,7 +33,6 @@ from .rows import (
     first_difference,
     is_join_irreducible,
     landing,
-    orbit_equal,
     placed_leq,
     row_leq,
     _realize,
@@ -79,7 +78,6 @@ class ObservationTable:
 
     def _fill_caches(self):
         self._family = None
-        self._upper_index = None
         self._ji_cache = {}
         self._rowof_cache = {}
         self._extension_patterns = {}
@@ -185,24 +183,14 @@ class ObservationTable:
             )
         return self._family
 
-    def _uppers(self):
-        if self._upper_index is None:
-            index = {}
-            for s in self.s_labels():
-                r = self._rows[s]
-                index.setdefault(r.orbit_invariant(), []).append(r)
-            self._upper_index = index
-        return self._upper_index
-
-    def _is_upper(self, r: Row) -> bool:
-        bucket = self._uppers().get(r.orbit_invariant(), ())
-        return any(orbit_equal(r, other) for other in bucket)
-
-    def _is_ji(self, label) -> bool:
-        cached = self._ji_cache.get(label)
+    def _is_ji(self, r: Row) -> bool:
+        """Join-irreducibility against the equivariant Rows(T) is the
+        same for every row of an orbit, so it is cached per orbit."""
+        key = r.orbit_key()
+        cached = self._ji_cache.get(key)
         if cached is None:
-            cached = is_join_irreducible(self._rows[label], self.rows_family())
-            self._ji_cache[label] = cached
+            cached = is_join_irreducible(r, self.rows_family())
+            self._ji_cache[key] = cached
         return cached
 
     # -- closedness -------------------------------------------------------
@@ -212,14 +200,13 @@ class ObservationTable:
         not an upper row, in enumeration order; None when join-closed.
         Raises `OutOfTime` once ``deadline`` has passed."""
         self._require_filled()
+        uppers = {self._rows[s].orbit_key() for s in self.s_labels()}
         for label in self.all_labels():
             if len(label) <= self.length:
                 continue  # its row is an upper row by definition
             _check_deadline(deadline)
             r = self._rows[label]
-            if self._is_upper(r):
-                continue
-            if self._is_ji(label):
+            if r.orbit_key() not in uppers and self._is_ji(r):
                 return label
         return None
 
@@ -362,36 +349,31 @@ class ObservationTable:
                 raise TableNotClosed("table is not join-closed")
             if self.find_consistency_defect() is not None:
                 raise TableNotConsistent("table is not join-consistent")
-        family = self.rows_family()
-        chosen = []
-        for s in self.s_labels():
-            r = self._rows[s]
-            if not self._is_ji(s):
-                continue
-            reduced = r.reduced()
-            if any(orbit_equal(reduced, other) for _, _, other in chosen):
-                continue
-            chosen.append((s, r, reduced))
+        chosen = dedup_by_orbit(
+            r for r in (self._rows[s] for s in self.s_labels()) if self._is_ji(r)
+        )
+        reduced = [r.reduced() for r in chosen]
 
         states = []
         provenance = {}
         row_eps = self._rows[EMPTY_WORD]
         initial = []
         final = []
-        for i, (owner, r, reduced) in enumerate(chosen):
+        for i, r in enumerate(chosen):
             name = f"q{i}"
-            states.append(StateOrbit(name, len(reduced.support)))
-            provenance[name] = (owner, r)
-            if row_leq(reduced, row_eps):
+            states.append(StateOrbit(name, len(reduced[i].support)))
+            provenance[name] = (r.owner, r)
+            if row_leq(reduced[i], row_eps):
                 initial.append(name)
-            if reduced.value(EMPTY_WORD):
+            if reduced[i].value(EMPTY_WORD):
                 final.append(name)
 
         transitions = []
         tags = sorted(self.alphabet.tags)
-        for i, (owner, r, reduced) in enumerate(chosen):
+        for i, r in enumerate(chosen):
             name = f"q{i}"
-            regs = reduced.support
+            owner = r.owner
+            regs = reduced[i].support
             owner_atoms = frozenset(owner.atoms())
             for tag in tags:
                 for base in letter_patterns(tag, self.alphabet.arity(tag)):
@@ -403,7 +385,7 @@ class ObservationTable:
                         letter = inst[0]
                         target, atoms = self._extension_pattern(owner, letter)
                         scope = frozenset(regs) | frozenset(letter.atoms)
-                        for j, (_, _, cand) in enumerate(chosen):
+                        for j, cand in enumerate(reduced):
                             for inj in partial_injections(
                                 cand.support, sorted(scope)
                             ):
@@ -508,15 +490,16 @@ class LearnResult:
         return self.hypothesis is None
 
 
-def learn(teacher, budget: LearnBudget = None, check_agreement=True,
-          log=None) -> LearnResult:
+def learn(teacher, budget: LearnBudget = None, log=None) -> LearnResult:
     """Run the modified learning loop against a teacher.
 
     Repairs consistency and closedness, builds a hypothesis, asks an
     equivalence query, and folds counterexample suffixes into the
     columns; returns the accepted hypothesis, or a diverged result when
     any budget is exhausted (the expected outcome for languages no
-    residual automaton accepts).  `log`, when given, receives one line
+    residual automaton accepts).  Every hypothesis is simulated against
+    the table and its disagreements are counted in
+    ``stats.agreement_violations``.  `log`, when given, receives one line
     per loop event.
     """
     budget = budget or LearnBudget()
@@ -568,10 +551,9 @@ def learn(teacher, budget: LearnBudget = None, check_agreement=True,
                     break
             hyp = table.build_hypothesis(verify_preconditions=False)
             emit(f"hypothesis with {hyp.state_orbit_count()} state orbits")
-            if check_agreement:
-                stats.agreement_violations += len(
-                    hypothesis_agreement_violations(table, hyp)
-                )
+            stats.agreement_violations += len(
+                hypothesis_agreement_violations(table, hyp)
+            )
             if stats.equivalence_queries >= budget.max_equivalence:
                 return finish(None, "equivalence")
             _check_deadline(deadline)

@@ -294,7 +294,10 @@ def count_partial_permutations(k: int) -> int:
     return sum(comb(k, i) ** 2 * factorial(i) for i in range(k + 1))
 
 
-@lru_cache(maxsize=None)
+# A learning run enumerates S at its length l, S.Sigma at l + 1 and the
+# equivalence depth; one more entry keeps the equivalence depth when S
+# grows by a length.  A process that learns many targets keeps no more.
+@lru_cache(maxsize=4)
 def _word_orbits(alphabet: AlphabetSpec, max_len: int):
     out = [EMPTY_WORD]
     tags = tuple(sorted(alphabet.tags))

@@ -7,7 +7,9 @@ supp-orbit representative, and the value at any concrete column e is
 the bit of the canonical form of e relative to the row's support.
 Order is pointwise implication, joins are pointwise union, and
 everything quantifying over "all renamings of a row" boils down to
-finitely many placement patterns of its support.
+finitely many placement patterns of its support.  Orbit identity is one
+canonical key per row (`Row.orbit_key`): two rows are renamings of each
+other exactly when their keys are equal.
 
 A placement is a plain dict {own atom: placed atom}, injective on the
 support of the row it places.  Whether a placed copy of r1 sits below
@@ -199,7 +201,7 @@ class Row:
     """
 
     __slots__ = ("owner", "support", "support_set", "bits", "columns",
-                 "version", "_index", "_reduced", "_invariant")
+                 "version", "_index", "_reduced", "_key")
 
     def __init__(self, owner: Word, support, bits: int, columns: ColumnSet):
         self.owner = owner
@@ -210,7 +212,7 @@ class Row:
         self.version = columns.version
         self._index = columns.index(self.support_set)
         self._reduced = None
-        self._invariant = None
+        self._key = None
 
     @classmethod
     def build(cls, owner: Word, columns: ColumnSet, value_of, support=None):
@@ -290,35 +292,45 @@ class Row:
 
         An atom is redundant exactly when swapping it with a fresh atom
         leaves the subset unchanged; redundancy does not depend on the
-        order of removal, so one pass suffices.
+        order of removal, so one pass suffices.  Every basis instance of
+        the full support projects onto one instance of the least support,
+        and all instances projecting onto it hold the same value, so the
+        bits spread down through the placement map.
         """
         if self._reduced is not None:
             return self._reduced
-        least = {a for a in self.support if not self._removable(a)}
-        if least == set(self.support):
+        least = tuple(a for a in self.support if not self._removable(a))
+        if len(least) == len(self.support):
             self._reduced = self
         else:
-            reduced = Row.build(self.owner, self.columns, self.value, support=least)
+            _, down = self.columns.placement_map(
+                len(least), len(self.support), landing(least, self.support)
+            )
+            reduced = Row(self.owner, least, _spread(self.bits, down), self.columns)
             reduced._reduced = reduced
             self._reduced = reduced
         return self._reduced
 
-    def orbit_invariant(self):
-        """A cheap renaming-invariant fingerprint of the row's orbit.
+    def orbit_key(self) -> tuple:
+        """The canonical identity of the row's orbit under renaming.
 
-        Equal rows-up-to-renaming always agree on it; unequal rows may
-        collide, so exact checks go through `orbit_equal`.
+        The least bit mask of the reduced row over all bijections of its
+        support onto itself, with the support size.  Bases of equally
+        large supports list their instances in the same order, so two
+        reduced rows are renamings of each other exactly when some
+        bijection of their supports maps one onto the other, that is,
+        when their keys are equal.
         """
-        if self._invariant is None:
+        _check_current(self)
+        if self._key is None:
             r = self.reduced()
-            sup = r.support_set
-            shapes = []
-            for e, v in r.entries.items():
-                pattern = canonicalize(e)
-                mask = tuple(a in sup for a in e.atoms())
-                shapes.append((pattern.sort_key(), mask, v))
-            self._invariant = (len(r.support), tuple(sorted(shapes)))
-        return self._invariant
+            n = len(r.support)
+            ups = (
+                self.columns.placement_map(n, n, tuple(enumerate(image)))[0]
+                for image in itertools.permutations(range(n))
+            )
+            self._key = (n, min(_spread(r.bits, up) for up in ups))
+        return self._key
 
     def render(self) -> str:
         """The log form: a {column: 0/1} map over the row's basis."""
@@ -478,32 +490,14 @@ def is_generated_by(target: Row, family) -> bool:
     return row_eq(jb, target)
 
 
-def orbit_equal(r1: Row, r2: Row) -> bool:
-    """Are two rows related by some atom renaming (as subsets of E)?"""
-    a = r1.reduced()
-    b = r2.reduced()
-    if len(a.support) != len(b.support):
-        return False
-    if a.orbit_invariant() != b.orbit_invariant():
-        return False
-    return any(
-        placed_leq(a, b, tuple(enumerate(image)), equal=True)
-        for image in itertools.permutations(range(len(b.support)))
-    )
-
-
 def dedup_by_orbit(rows):
     """One representative per row orbit, keeping first occurrences."""
-    buckets = {}
-    reps = []
+    reps = {}
     for r in rows:
-        key = r.orbit_invariant()
-        bucket = buckets.setdefault(key, [])
-        if not any(orbit_equal(r, other) for other in bucket):
-            bucket.append(r)
-            reps.append(r)
-    return reps
+        reps.setdefault(r.orbit_key(), r)
+    return list(reps.values())
 
 
 def in_family_orbit(r: Row, family) -> bool:
-    return any(orbit_equal(r, other) for other in family)
+    """Is some family row a renaming of r?"""
+    return r.orbit_key() in {other.orbit_key() for other in family}

@@ -18,6 +18,7 @@ from nomres.orbits import (
     partial_injections,
     set_partition_labels,
     split_into_a_orbits,
+    _word_orbits,
 )
 from conftest import (
     brute_orbit_count,
@@ -161,6 +162,24 @@ class TestEnumeration:
             )
         with pytest.raises(ValueError):
             count_word_orbits(alphabet, -1)
+
+    def test_enumeration_cache_is_bounded(self):
+        """The cache keeps a learning run's working set (S, S.Sigma and
+        the equivalence depth) and no more, however many lengths are
+        enumerated."""
+        bound = _word_orbits.cache_info().maxsize
+        assert bound is not None and bound >= 3
+        for length in range(9):
+            enumerate_word_orbits(DEFAULT_ALPHABET, length)
+        assert _word_orbits.cache_info().currsize == bound
+        working_set = (3, 4, 6)
+        for length in working_set:
+            enumerate_word_orbits(DEFAULT_ALPHABET, length)
+        misses = _word_orbits.cache_info().misses
+        for _ in range(3):
+            for length in working_set:
+                enumerate_word_orbits(DEFAULT_ALPHABET, length)
+        assert _word_orbits.cache_info().misses == misses
 
     def test_each_representative_is_canonical_and_unique(self):
         seen = set()

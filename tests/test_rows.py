@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -12,11 +13,12 @@ from nomres.rows import (
     is_generated_by,
     is_join_irreducible,
     join_below,
-    orbit_equal,
     row_eq,
     row_leq,
 )
 from nomres import corpus
+from nomres.learner import ObservationTable
+from nomres.teacher import MembershipOracle
 from conftest import (
     LATTICE_UNIVERSE,
     brute_generated,
@@ -156,7 +158,7 @@ class TestReduction:
         cs = columns_upto("a(0) a(0)")
         r = language_row("a(0) a(1)", cs, LD)
         assert r.reduced().support == (0,)
-        assert orbit_equal(r, language_row("a(0)", cs, LD))
+        assert r.orbit_key() == language_row("a(0)", cs, LD).orbit_key()
 
     def test_genuine_support_kept(self):
         cs = columns_upto("a(0)")
@@ -164,17 +166,59 @@ class TestReduction:
         assert r.reduced().support == (1,)
 
 
+def same_orbit(r1, r2):
+    """Brute force: does some bijection of the reduced supports rename
+    one row onto the other?"""
+    a, b = r1.reduced(), r2.reduced()
+    return len(a.support) == len(b.support) and any(
+        row_eq(a.apply_perm(dict(zip(a.support, img))), b)
+        for img in itertools.permutations(b.support)
+    )
+
+
+def filled_table(name, length, columns):
+    entry = corpus.get(name)
+    oracle = MembershipOracle(
+        entry.automaton.alphabet, predicate=entry.predicate, name=name
+    )
+    t = ObservationTable(entry.automaton.alphabet, oracle=oracle)
+    for c in columns:
+        t.columns.add(parse_word(c))
+    t.length = length
+    return t.fill()
+
+
+# Ln's rows keep their supports once E holds a(0) a(0); at E = {eps}
+# all but one of them reduce
+FILLED_TABLES = [
+    ("Ln", 3, ["a(0) a(0)"]),
+    ("Ln", 3, []),
+    ("Ak:2", 2, ["a(0) a(0)"]),
+]
+TABLE_IDS = ["Ln", "Ln-eps", "Ak:2"]
+
+
+def wide_random_row(rng, columns):
+    """A random row on up to three atoms, so that keys range over
+    several bijections of the support."""
+    support = frozenset(rng.sample(range(5), rng.randint(0, 3)))
+    basis = columns.instances(support)
+    bits = {e.render(): rng.random() < 0.5 for e in basis}
+    return make_row(columns, support, bits)
+
+
 class TestOrbitEquality:
     def test_renamed_rows_equal(self):
         cs = columns_upto("a(0) a(0)")
         r1 = language_row("a(1)", cs, LD)
         r2 = language_row("a(4)", cs, LD)
-        assert orbit_equal(r1, r2)
+        assert r1.orbit_key() == r2.orbit_key()
 
     def test_different_rows_not_equal(self):
         cs = columns_upto("a(0) a(0)")
-        assert not orbit_equal(
-            language_row("a(1)", cs, LD), language_row("a(1) a(1)", cs, LD)
+        assert (
+            language_row("a(1)", cs, LD).orbit_key()
+            != language_row("a(1) a(1)", cs, LD).orbit_key()
         )
 
     def test_dedup(self):
@@ -185,8 +229,87 @@ class TestOrbitEquality:
             language_row("a(1) a(1)", cs, LD),
         ]
         reps = dedup_by_orbit(rows)
-        assert len(reps) == 2
+        assert reps == [rows[0], rows[2]]
         assert in_family_orbit(language_row("a(9)", cs, LD), reps)
+
+
+class TestOrbitKey:
+    """Keys are equal exactly when a brute-force search finds a bijection
+    of the reduced supports renaming one row onto the other."""
+
+    @pytest.mark.parametrize(
+        "columns",
+        [lattice_columns, lambda: columns_upto("a(0) a(0)")],
+        ids=["lattice", "a0-a0"],
+    )
+    def test_random_rows_match_reference(self, columns):
+        cs = columns()
+        rng = random.Random(31)
+        rows = [random_row(rng, cs) for _ in range(30)]
+        for a in rows:
+            for b in rows:
+                assert (a.orbit_key() == b.orbit_key()) == same_orbit(a, b)
+
+    def test_wide_random_rows_match_reference(self):
+        cs = columns_upto("a(0) a(1) a(0)")
+        rng = random.Random(37)
+        rows = [wide_random_row(rng, cs) for _ in range(40)]
+        # renamed copies, so that equal keys are not all trivial
+        rows += [
+            r.apply_perm(dict(zip(r.support, rng.sample(range(8), len(r.support)))))
+            for r in rows[:20]
+        ]
+        for a in rows:
+            for b in rows:
+                assert (a.orbit_key() == b.orbit_key()) == same_orbit(a, b)
+
+    @pytest.mark.parametrize("name,length,columns", FILLED_TABLES, ids=TABLE_IDS)
+    def test_table_rows_match_reference(self, name, length, columns):
+        t = filled_table(name, length, columns)
+        rows = [t.row(label) for label in t.all_labels()]
+        for a in rows:
+            for b in rows:
+                assert (a.orbit_key() == b.orbit_key()) == same_orbit(a, b)
+
+    def test_invariant_under_renaming(self):
+        rng = random.Random(41)
+        cs = columns_upto("a(0) a(1) a(0)")
+        rows = [wide_random_row(rng, cs) for _ in range(40)]
+        for name, length, columns in FILLED_TABLES:
+            t = filled_table(name, length, columns)
+            rows += [t.row(label) for label in t.all_labels()]
+        for r in rows:
+            img = rng.sample(range(10), len(r.support))
+            assert r.apply_perm(dict(zip(r.support, img))).orbit_key() == r.orbit_key()
+
+    def test_stale_row_is_refused(self):
+        cs = columns_upto("a(0)")
+        r = language_row("a(1)", cs, LD)
+        r.orbit_key()
+        cs.add(parse_word("a(0) a(0)"))
+        with pytest.raises(ColumnError):
+            r.orbit_key()  # memoised, but for the old basis
+
+
+class TestReducedReference:
+    @pytest.mark.parametrize("name,length,columns", FILLED_TABLES, ids=TABLE_IDS)
+    def test_reduced_matches_rebuilt_row(self, name, length, columns):
+        """The spread bits equal the row rebuilt on its least support,
+        with the least support found by swapping each atom for a fresh
+        one."""
+        t = filled_table(name, length, columns)
+        for label in t.all_labels():
+            r = t.row(label)
+            fresh = max(r.support, default=-1) + 1
+            least = [
+                a for a in r.support
+                if not row_eq(
+                    r.apply_perm({b: fresh if b == a else b for b in r.support}), r
+                )
+            ]
+            rebuilt = Row.build(r.owner, r.columns, r.value, support=least)
+            assert r.reduced().support == rebuilt.support
+            assert r.reduced().bits == rebuilt.bits
 
 
 class TestJoins:
