@@ -2,11 +2,15 @@
 
 Exit codes: 0 = accept/true/success, 1 = reject/false/diverged,
 2 = usage or format error.
+
+`main(argv)` may be called any number of times in one process; the
+argument parser is built on the first call and reused after it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -153,7 +157,12 @@ def _cmd_corpus(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser():
+    # Built once per process and shared by every main() call.  Reuse is
+    # safe because parse_args starts a fresh Namespace each call and never
+    # mutates the parser; keep every default immutable (no
+    # action="append", no list defaults) so that it stays that way.
     parser = argparse.ArgumentParser(
         prog="nomres",
         description="Nominal automata over equality atoms: simulate, anchor, learn.",

@@ -109,9 +109,10 @@ class ObservationTable:
             self.answers[key] = value
         return value
 
-    def fill(self, oracle=None):
+    def fill(self, oracle=None, deadline=None):
         """Build rows for every S u S.Sigma representative, querying once
-        per previously unseen canonical concatenation."""
+        per previously unseen canonical concatenation.  Raises `OutOfTime`
+        once ``deadline`` has passed, leaving the table unfilled."""
         oracle = oracle or self.oracle
         if oracle is None:
             raise ValueError("no membership oracle")
@@ -120,6 +121,7 @@ class ObservationTable:
             return self
         rows = {}
         for label in self.all_labels():
+            _check_deadline(deadline)
             rows[label] = Row.build(
                 label,
                 self.columns,
@@ -210,11 +212,11 @@ class ObservationTable:
                 return label
         return None
 
-    def close_step(self, defect: Word):
+    def close_step(self, defect: Word, deadline=None):
         """Grow S to all word orbits up to the defect's length."""
         self.length = max(self.length, len(defect))
         if self.oracle is not None:
-            self.fill()
+            self.fill(deadline=deadline)
         return self
 
     # -- consistency ------------------------------------------------------
@@ -314,12 +316,12 @@ class ObservationTable:
                 return (s1, s2c, letter, e)
         return None
 
-    def consistency_step(self, defect):
+    def consistency_step(self, defect, deadline=None):
         """Add the orbit of a.e (and its suffixes, keeping E suffix-closed)."""
         _, _, letter, e = defect
         self.columns.add(Word([letter]) + e)
         if self.oracle is not None:
-            self.fill()
+            self.fill(deadline=deadline)
         return self
 
     def consistency_preorder(self):
@@ -330,11 +332,11 @@ class ObservationTable:
 
     # -- counterexamples --------------------------------------------------
 
-    def handle_counterexample(self, cex: Word):
+    def handle_counterexample(self, cex: Word, deadline=None):
         """Add the orbits of every suffix of the counterexample to E."""
         self.columns.add(canonicalize(cex))
         if self.oracle is not None:
-            self.fill()
+            self.fill(deadline=deadline)
         return self
 
     # -- hypothesis -------------------------------------------------------
@@ -508,7 +510,6 @@ def learn(teacher, budget: LearnBudget = None, log=None) -> LearnResult:
     deadline = None if budget.wall_time is None else start + budget.wall_time
     emit = log if log is not None else (lambda line: None)
     table = ObservationTable(teacher.alphabet, oracle=teacher.membership)
-    table.fill()
 
     def finish(hyp, reason=None):
         stats.final_l = table.length
@@ -519,8 +520,9 @@ def learn(teacher, budget: LearnBudget = None, log=None) -> LearnResult:
         emit("diverged" if hyp is None else "accepted")
         return LearnResult(hyp, stats)
 
-    while True:
-        try:
+    try:
+        table.fill(deadline=deadline)
+        while True:
             while True:
                 _check_deadline(deadline)
                 progressed = False
@@ -534,7 +536,7 @@ def learn(teacher, budget: LearnBudget = None, log=None) -> LearnResult:
                         f"row={table.row(defect).render()}; "
                         f"growing S to length {len(defect)}"
                     )
-                    table.close_step(defect)
+                    table.close_step(defect, deadline)
                     stats.closedness_rounds += 1
                     progressed = True
                 mismatch = table.find_consistency_defect(deadline)
@@ -544,7 +546,7 @@ def learn(teacher, budget: LearnBudget = None, log=None) -> LearnResult:
                         f"not-consistent ({s1.render()}, {s2.render()}) "
                         f"split by {letter.render()}.{e.render()}; growing E"
                     )
-                    table.consistency_step(mismatch)
+                    table.consistency_step(mismatch, deadline)
                     stats.consistency_rounds += 1
                     progressed = True
                 if not progressed:
@@ -557,11 +559,11 @@ def learn(teacher, budget: LearnBudget = None, log=None) -> LearnResult:
             if stats.equivalence_queries >= budget.max_equivalence:
                 return finish(None, "equivalence")
             _check_deadline(deadline)
-        except OutOfTime:
-            return finish(None, "wall_time")
-        stats.equivalence_queries += 1
-        cex = teacher.equivalence.equivalent(hyp)
-        if cex is None:
-            return finish(hyp)
-        emit(f"counterexample {cex.render()}")
-        table.handle_counterexample(cex)
+            stats.equivalence_queries += 1
+            cex = teacher.equivalence.equivalent(hyp)
+            if cex is None:
+                return finish(hyp)
+            emit(f"counterexample {cex.render()}")
+            table.handle_counterexample(cex, deadline)
+    except OutOfTime:
+        return finish(None, "wall_time")

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -254,3 +255,45 @@ class TestUsage:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+class TestParserReuse:
+    """main() builds its parser once per process and reuses it."""
+
+    def test_parser_built_once(self, tmp_path, capsys, monkeypatch):
+        run(capsys, "member", "builtin:Ld", "eps")
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        assert run(capsys, "member", "builtin:Ld", "a(1) a(1)")[0] == 0
+        assert run(capsys, "anchor", "builtin:Ld", "-o", str(tmp_path / "a.aut"))[0] == 0
+        assert run(capsys, "orbits", "--max-len", "2")[0] == 0
+        assert built == []
+        assert cli._build_parser.cache_info().currsize == 1
+
+    def test_options_do_not_carry_over(self, tmp_path, capsys):
+        learn = ("learn", "--target", "builtin:Ld", "--eq-depth", "6",
+                 "--max-eq", "20", "--max-l", "4")
+        s1 = tmp_path / "s1.json"
+        assert run(capsys, *learn, "--stats", str(s1), "-o", str(tmp_path / "h1"))[0] == 0
+        s1.unlink()
+        assert run(capsys, *learn, "-o", str(tmp_path / "h2"))[0] == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["h1", "h2"]
+
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(capsys, "anchor", "builtin:Ld", "--top", "-o", str(a))[0] == 0
+        assert run(capsys, "anchor", "builtin:Ld", "-o", str(b))[0] == 0
+        assert "top" in {q.name for q in parse(a.read_text()).states}
+        assert "top" not in {q.name for q in parse(b.read_text()).states}
+
+    def test_calls_after_usage_error_and_help(self, capsys):
+        assert run(capsys, "member")[0] == 2
+        code, out, _ = run(capsys, "--help")
+        assert code == 0 and out.startswith("usage: nomres")
+        code, out, _ = run(capsys, "member", "builtin:Ld", "a(1) a(1)")
+        assert code == 0 and out.strip() == "accept"

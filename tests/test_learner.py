@@ -17,6 +17,7 @@ from nomres.automaton import accepts
 from nomres.learner import (
     LearnBudget,
     ObservationTable,
+    OutOfTime,
     TableNotClosed,
     TableNotConsistent,
     hypothesis_agreement_violations,
@@ -71,6 +72,47 @@ class TestFill:
         t = table_for("Ld", length=1, columns=["a(0)"])
         assert t.entry(parse_word("a(7)"), parse_word("a(7)"))
         assert not t.entry(parse_word("a(7)"), parse_word("a(8)"))
+
+
+def rows_of(table):
+    return {l: (table.row(l).support, table.row(l).bits) for l in table.all_labels()}
+
+
+class TestFillDeadline:
+    """A fill past its deadline raises `OutOfTime` and commits no rows;
+    the deadline is already over when the fill starts, so no timing is
+    involved."""
+
+    def test_fill_past_deadline_leaves_table_unfilled(self):
+        t = table_for("Ld", length=2, columns=["a(0)"], fill=False)
+        with pytest.raises(OutOfTime):
+            t.fill(deadline=time.monotonic() - 1)
+        with pytest.raises(RuntimeError, match="not filled"):
+            t.row(EMPTY_WORD)
+        t.fill()
+        assert rows_of(t) == rows_of(table_for("Ld", length=2, columns=["a(0)"]))
+
+    @pytest.mark.parametrize(
+        "step, grown",
+        [
+            (lambda t, d: t.close_step(parse_word("a(0) a(1)"), d),
+             dict(length=2)),
+            (lambda t, d: t.consistency_step(
+                (EMPTY_WORD, EMPTY_WORD, parse_word("a(0)")[0], EMPTY_WORD), d),
+             dict(columns=["a(0)"])),
+            (lambda t, d: t.handle_counterexample(parse_word("a(0) a(1)"), d),
+             dict(columns=["a(0) a(1)"])),
+        ],
+        ids=["close_step", "consistency_step", "handle_counterexample"],
+    )
+    def test_steps_pass_their_deadline_to_fill(self, step, grown):
+        t = table_for("Ld")
+        with pytest.raises(OutOfTime):
+            step(t, time.monotonic() - 1)
+        with pytest.raises(RuntimeError, match="not filled"):
+            t.row(EMPTY_WORD)
+        t.fill()
+        assert rows_of(t) == rows_of(table_for("Ld", **grown))
 
 
 class TestClosedness:
@@ -360,6 +402,41 @@ class TestLearnLoop:
         assert result.diverged
         assert result.stats.divergence_reason == "wall_time"
         assert elapsed < 0.5 + 1.5
+
+    def test_initial_fill_honours_the_deadline(self):
+        # a deadline already over when learn() starts: the first fill stops
+        # before its first query and the run reports the wall-time budget
+        teacher = for_corpus("Ld", eq_depth=6)
+        log = []
+        result = learn(
+            teacher,
+            LearnBudget(max_equivalence=20, max_length=4, wall_time=-1.0),
+            log=log.append,
+        )
+        assert result.diverged
+        assert result.stats.divergence_reason == "wall_time"
+        assert result.stats.membership_queries == 0
+        assert log == ["diverged"]
+
+    @pytest.mark.parametrize("name", ["Ld", "Compress"])
+    def test_every_fill_gets_the_deadline(self, name, monkeypatch):
+        # Ld's run folds in a counterexample and grows S; Compress's grows
+        # S and E
+        deadlines = []
+        fill = ObservationTable.fill
+
+        def spy(self, oracle=None, deadline=None):
+            deadlines.append(deadline)
+            return fill(self, oracle, deadline)
+
+        monkeypatch.setattr(ObservationTable, "fill", spy)
+        result = learn(
+            for_corpus(name, eq_depth=6),
+            LearnBudget(max_equivalence=20, max_length=4, wall_time=600.0),
+        )
+        assert not result.diverged
+        assert len(deadlines) >= 3
+        assert None not in deadlines and len(set(deadlines)) == 1
 
     def test_divergence_reason(self):
         def reason(name, **budget):
