@@ -31,7 +31,6 @@ from .automaton import (
     is_universal_residual,
     parse,
     render,
-    reverse,
     run_frontier,
     universal_automaton,
 )

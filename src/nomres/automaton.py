@@ -519,20 +519,6 @@ def _unused_name(name, taken):
     return name
 
 
-def reverse(aut: SymbolicAutomaton) -> SymbolicAutomaton:
-    """Accepts exactly the reversed words of L(aut)."""
-    return SymbolicAutomaton(
-        aut.alphabet,
-        aut.states,
-        aut.final,
-        aut.initial,
-        tuple(
-            TransitionLine(t.dst, t.dst_vars, t.letter_tag, t.letter_vars, t.src, t.src_vars)
-            for t in aut.transitions
-        ),
-    )
-
-
 def _pattern_loop_lines(state_name, alphabet):
     """Self-loops on every letter orbit of the given alphabet constructors."""
     lines = []

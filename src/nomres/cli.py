@@ -108,11 +108,10 @@ def _cmd_orbits(args) -> int:
 def _cmd_learn(args) -> int:
     target = _load_target(args.target)
     eq_depth = args.eq_depth
-    if eq_depth is None:
-        # twice the known characterising length plus one, else just past
-        # the row-length budget
-        known = getattr(target, "char_length", None)
-        eq_depth = 2 * known + 1 if known is not None else args.max_l + 1
+    if eq_depth is None and getattr(target, "char_length", None) is None:
+        # no known characterising length for for_corpus to default from:
+        # check just past the row-length budget
+        eq_depth = args.max_l + 1
     if isinstance(target, corpus.CorpusEntry):
         teacher = for_corpus(target.name, eq_depth)
     else:

@@ -22,7 +22,6 @@ class CorpusEntry:
     predicate: Callable[[Word], bool]
     residual: bool
     non_guessing: bool
-    deterministic: bool
     # length of the longest shortest characterising word, when residual
     char_length: Optional[int] = None
     # state-orbit count of the canonical residual automaton, when known
@@ -238,38 +237,33 @@ def _ak_predicate(k: int):
 _FIXED = {
     "Ld": CorpusEntry(
         "Ld", _LD, _ld_predicate,
-        residual=True, non_guessing=True, deterministic=True,
+        residual=True, non_guessing=True,
         char_length=2, canonical_orbits=3,
     ),
     "Lngr": CorpusEntry(
         "Lngr", _LNGR, _lngr_predicate,
-        residual=True, non_guessing=True, deterministic=False,
+        residual=True, non_guessing=True,
         char_length=2, canonical_orbits=3,
     ),
     "Ln": CorpusEntry(
         "Ln", _LN, _ln_predicate,
-        residual=False, non_guessing=False, deterministic=False,
+        residual=False, non_guessing=False,
     ),
     "Lr": CorpusEntry(
         "Lr", _LR, _lr_predicate,
-        residual=True, non_guessing=False, deterministic=False,
+        residual=True, non_guessing=False,
         char_length=2, canonical_orbits=2,
     ),
     "Lng": CorpusEntry(
         "Lng", _LNG, _lng_predicate,
-        residual=False, non_guessing=True, deterministic=False,
+        residual=False, non_guessing=True,
     ),
     "Compress": CorpusEntry(
         "Compress", _COMPRESS, _compress_predicate,
-        residual=True, non_guessing=True, deterministic=True,
+        residual=True, non_guessing=True,
         char_length=2, canonical_orbits=2,
     ),
 }
-
-
-def names():
-    """All addressable entry names (Ak is parameterised: 'Ak:<k>')."""
-    return sorted(_FIXED) + ["Ak:<k>"]
 
 
 def get(name: str) -> CorpusEntry:
@@ -288,26 +282,7 @@ def get(name: str) -> CorpusEntry:
             raise KeyError("Ak requires k >= 1")
         return CorpusEntry(
             name, _ak_automaton(k), _ak_predicate(k),
-            residual=True, non_guessing=False, deterministic=False,
+            residual=True, non_guessing=False,
             char_length=k, canonical_orbits=2,
         )
     raise KeyError(f"unknown corpus entry {name!r}")
-
-
-def first_letter_fresh_automaton() -> SymbolicAutomaton:
-    """Deterministic automaton for { a w | a not in w } plus the empty word.
-
-    Its reversal is exactly Ln, which witnesses that residual languages
-    are not closed under reversal.
-    """
-    return parse(
-        """
-        alphabet a 1
-        state r0 0
-        state r1 1
-        initial r0
-        final r0 r1
-        trans r0 a(x) r1(x)
-        trans r1(x) a(y) r1(x)
-        """
-    )

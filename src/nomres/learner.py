@@ -164,16 +164,6 @@ class ObservationTable:
             self._extension_patterns[key] = cached
         return cached
 
-    def entry(self, w: Word, e: Word) -> bool:
-        """The stored bit for any concrete label and column in closure."""
-        key = canonicalize(w + e)
-        try:
-            return self.answers[key]
-        except KeyError:
-            raise KeyError(
-                f"({w.render()}, {e.render()}) was never filled"
-            ) from None
-
     # -- derived families -------------------------------------------------
 
     def rows_family(self):
@@ -324,12 +314,6 @@ class ObservationTable:
             self.fill(deadline=deadline)
         return self
 
-    def consistency_preorder(self):
-        """Fingerprint of the row preorder on placed S x S pairs; each
-        consistency step must strictly refine it."""
-        self._require_filled()
-        return frozenset(self._ordered_pairs())
-
     # -- counterexamples --------------------------------------------------
 
     def handle_counterexample(self, cex: Word, deadline=None):
@@ -469,7 +453,6 @@ class LearnStats:
     closedness_rounds: int = 0
     consistency_rounds: int = 0
     final_l: int = 0
-    diverged: bool = False
     # which budget ran out: "length", "equivalence" or "wall_time";
     # None when the run converged
     divergence_reason: Optional[str] = None
@@ -515,7 +498,6 @@ def learn(teacher, budget: LearnBudget = None, log=None) -> LearnResult:
         stats.final_l = table.length
         stats.membership_queries = teacher.membership.query_count
         stats.wall_time = time.monotonic() - start
-        stats.diverged = hyp is None
         stats.divergence_reason = reason
         emit("diverged" if hyp is None else "accepted")
         return LearnResult(hyp, stats)

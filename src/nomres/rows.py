@@ -30,7 +30,6 @@ import itertools
 from bisect import insort
 
 from .orbits import (
-    Letter,
     Word,
     EMPTY_WORD,
     canonicalize,
@@ -239,34 +238,6 @@ class Row:
         """Membership of a concrete column, via its support-canonical form."""
         return self._bit(a_canonicalize(e, self.support_set), e)
 
-    def value_mapped(self, inv, e: Word) -> bool:
-        """The value of the placed row at e; ``inv`` is the inverse of the
-        placement, a dict from the placed support onto this row's support.
-
-        Builds the support-canonical key of inv(e) directly: atoms of the
-        placed support read back through ``inv``, and every other atom,
-        which any bijection extending the placement sends outside this
-        row's support, becomes a fresh atom by first occurrence.
-        """
-        relabel = {}
-        nxt = fresh_atom(self.support_set)
-        letters = []
-        for letter in e.letters:
-            atoms = []
-            for a in letter.atoms:
-                b = inv.get(a)
-                if b is None:
-                    b = relabel.get(a)
-                    if b is None:
-                        relabel[a] = b = nxt
-                        nxt += 1
-                atoms.append(b)
-            letters.append(Letter(letter.tag, tuple(atoms)))
-        return self._bit(Word(letters), e)
-
-    def is_empty(self) -> bool:
-        return not self.bits
-
     def apply_perm(self, p) -> "Row":
         """The row renamed by ``p``, a dict injective on the owner's atoms."""
         _check_current(self)
@@ -429,7 +400,7 @@ def _realize(mapping, own_support, avoid):
     return full
 
 
-def _survivors(t: Row, family, strict, uniform_support):
+def _survivors(t: Row, family, strict):
     """Placement patterns of family members that land (strictly) below t.
 
     Whether a placed copy sits below t only depends on which of its
@@ -440,8 +411,6 @@ def _survivors(t: Row, family, strict, uniform_support):
     for y0 in family:
         y = y0.reduced()
         for tpat in partial_injections(range(len(y.support)), positions):
-            if uniform_support and len(tpat) != len(y.support):
-                continue
             pattern = tuple(tpat.items())
             if not placed_leq(y, t, pattern):
                 continue
@@ -451,42 +420,38 @@ def _survivors(t: Row, family, strict, uniform_support):
     return out
 
 
-def join_below(target: Row, family, strict=False, uniform_support=False) -> Row:
+def join_below(target: Row, family, strict=False) -> Row:
     """The join of every renamed family row below the target.
 
     Returns, as a row on the target's (least) support, the pointwise
-    union of all placed copies pi.y with pi.y <= target (< when strict;
-    supp(pi.y) inside supp(target) when uniform_support).  A copy's
-    unplaced atoms range over everything outside the target's support,
-    so at a target basis column it counts wherever some joint instance
-    over that column holds: its bits spread upwards through the
-    placement map.
+    union of all placed copies pi.y with pi.y <= target (< when
+    strict).  A copy's unplaced atoms range over everything outside the
+    target's support, so at a target basis column it counts wherever
+    some joint instance over that column holds: its bits spread upwards
+    through the placement map.
     """
     t = target.reduced()
     bits = 0
-    for y, pattern in _survivors(t, family, strict, uniform_support):
+    for y, pattern in _survivors(t, family, strict):
         up, _ = t.columns.placement_map(len(y.support), len(t.support), pattern)
         bits |= _spread(y.bits, up)
     return Row(target.owner, t.support_set, bits, target.columns)
 
 
-def is_join_irreducible(r: Row, family, uniform_support=False) -> bool:
+def is_join_irreducible(r: Row, family) -> bool:
     """Is the row not the join of the strictly smaller family elements?
 
-    In standard mode the empty row is never join-irreducible; the
-    non-guessing variant drops that clause and restricts the joins to
-    uniformly supported ones (the empty join still reproduces the empty
-    row, so the empty row fails there too).
+    The empty row is never join-irreducible.
     """
-    if not uniform_support and r.is_empty():
+    if not r.bits:
         return False
-    jb = join_below(r, family, strict=True, uniform_support=uniform_support)
+    jb = join_below(r, family, strict=True)
     return not row_eq(jb, r)
 
 
 def is_generated_by(target: Row, family) -> bool:
     """Is the target the join of all family elements below it?"""
-    jb = join_below(target, family, strict=False, uniform_support=False)
+    jb = join_below(target, family)
     return row_eq(jb, target)
 
 

@@ -125,16 +125,26 @@ def concrete_columns(columns, universe):
 
 def concretize_row(row, columns_concrete, universe):
     """All instantiations of the row's orbit inside the universe, each as
-    a frozenset of concrete columns."""
-    sup = sorted(row.reduced().support)
+    a frozenset of concrete columns.
+
+    A placement sends the least support onto ``img``; the row holds c
+    exactly when it holds the preimage of c, in which every atom of c
+    outside ``img`` goes to a distinct atom above everything in sight.
+    """
+    reduced = row.reduced()
+    sup = sorted(reduced.support)
+    above = max([*universe, *sup], default=-1) + 1
     out = []
     for img in itertools.permutations(universe, len(sup)):
-        inv = dict(zip(img, sup))
-        out.append(
-            frozenset(
-                c for c in columns_concrete if row.reduced().value_mapped(inv, c)
-            )
-        )
+        held = set()
+        for c in columns_concrete:
+            preimage = dict(zip(img, sup))
+            for a in c.atoms():
+                if a not in preimage:
+                    preimage[a] = above + len(preimage)
+            if reduced.value(c.rename(preimage)):
+                held.add(c)
+        out.append(frozenset(held))
     return out
 
 

@@ -18,7 +18,6 @@ from nomres.automaton import (
     is_universal_residual,
     parse,
     render,
-    reverse,
     run_frontier,
     universal_automaton,
 )
@@ -238,13 +237,6 @@ class TestStructuralChecks:
         full = universal_automaton(AlphabetSpec([("f", 2)]))
         assert is_universal_residual(full).universal
         assert accepts(full, Word([Letter("f", (5, 5))]))
-
-
-class TestCombinators:
-    def test_reverse_involution(self):
-        rr = reverse(reverse(LD))
-        for w in enumerate_word_orbits(LD.alphabet, 3):
-            assert accepts(rr, w) == accepts(LD, w)
 
 
 class TestAnchoring:

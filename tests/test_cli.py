@@ -141,6 +141,13 @@ class TestOrbits:
         assert out1 == out2
 
 
+STATS_KEYS = {
+    "membership_queries", "equivalence_queries", "closedness_rounds",
+    "consistency_rounds", "final_l", "divergence_reason", "wall_time",
+    "agreement_violations",
+}
+
+
 class TestLearn:
     def test_ld_end_to_end(self, tmp_path, capsys):
         out_path = tmp_path / "hyp.aut"
@@ -155,11 +162,7 @@ class TestLearn:
         hyp = parse(out_path.read_text())
         assert len(hyp.states) == 3
         stats = json.loads(stats_path.read_text())
-        assert set(stats) >= {
-            "membership_queries", "equivalence_queries", "closedness_rounds",
-            "consistency_rounds", "final_l", "diverged",
-        }
-        assert stats["diverged"] is False
+        assert set(stats) == STATS_KEYS
         assert stats["divergence_reason"] is None
 
     def test_eq_depth_defaults(self, tmp_path, capsys):
@@ -171,6 +174,13 @@ class TestLearn:
             "--max-eq", "20", "--max-l", "4", "-o", str(tmp_path / "h.aut"),
         )
         assert code == 0
+        code, _, _ = run(
+            capsys,
+            "learn", "--target", "builtin:Compress", "--eq-depth", "5",
+            "--max-eq", "20", "--max-l", "4", "-o", str(tmp_path / "h5.aut"),
+        )
+        assert code == 0
+        assert (tmp_path / "h.aut").read_text() == (tmp_path / "h5.aut").read_text()
         code, out, _ = run(
             capsys,
             "learn", "--target", "builtin:Ln", "--max-eq", "10", "--max-l", "3",
@@ -187,7 +197,7 @@ class TestLearn:
         assert code == 1
         assert out.strip() == "DIVERGED"
         stats = json.loads(stats_path.read_text())
-        assert stats["diverged"] is True
+        assert set(stats) == STATS_KEYS
         assert stats["divergence_reason"] == "length"
 
     def test_learn_output_is_deterministic(self, tmp_path, capsys):

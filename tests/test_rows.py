@@ -345,9 +345,6 @@ class TestJoins:
         empty = make_row(cs, set(), {})
         family = [empty, make_row(cs, set(), {"eps": True})]
         assert not is_join_irreducible(empty, family)
-        # the non-guessing variant drops the clause, but the empty join
-        # still reproduces the empty row
-        assert not is_join_irreducible(empty, family, uniform_support=True)
 
     def test_generated_by(self):
         cs = lattice_columns()
@@ -358,16 +355,6 @@ class TestJoins:
         assert is_generated_by(x, [x, y])
         assert is_generated_by(make_row(cs, set(), {}), [x, y])  # empty join
         assert not is_generated_by(xy, [x])
-
-    def test_uniform_join_below_plain_join(self):
-        cs = lattice_columns()
-        rng = random.Random(23)
-        for _ in range(25):
-            family = random_family(rng, cs, 3)
-            target = random_row(rng, cs)
-            uni = join_below(target, family, strict=True, uniform_support=True)
-            plain = join_below(target, family, strict=True, uniform_support=False)
-            assert row_leq(uni, plain)
 
 
 class TestBruteForceOracle:
