@@ -15,7 +15,6 @@ import json
 import sys
 
 from .orbits import (
-    AlphabetSpec,
     DEFAULT_ALPHABET,
     count_partial_permutations,
     count_word_orbits,

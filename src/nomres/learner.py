@@ -28,6 +28,7 @@ from .orbits import (
 )
 from .rows import (
     ColumnSet,
+    OutOfTime,
     Row,
     dedup_by_orbit,
     first_difference,
@@ -35,6 +36,7 @@ from .rows import (
     landing,
     placed_leq,
     row_leq,
+    _check_deadline,
     _realize,
 )
 from .automaton import (
@@ -51,15 +53,6 @@ class TableNotClosed(RuntimeError):
 
 class TableNotConsistent(RuntimeError):
     pass
-
-
-class OutOfTime(RuntimeError):
-    """A table search passed its deadline (a ``time.monotonic()`` value)."""
-
-
-def _check_deadline(deadline):
-    if deadline is not None and time.monotonic() > deadline:
-        raise OutOfTime("wall-time budget exhausted")
 
 
 class ObservationTable:
@@ -82,6 +75,8 @@ class ObservationTable:
         self._rowof_cache = {}
         self._extension_patterns = {}
         self._letter_cache = {}
+        self._classes = {}  # label -> its extension class, interned
+        self._class_ids = {}
 
     # -- labels ---------------------------------------------------------
 
@@ -175,13 +170,13 @@ class ObservationTable:
             )
         return self._family
 
-    def _is_ji(self, r: Row) -> bool:
+    def _is_ji(self, r: Row, deadline=None) -> bool:
         """Join-irreducibility against the equivariant Rows(T) is the
         same for every row of an orbit, so it is cached per orbit."""
         key = r.orbit_key()
         cached = self._ji_cache.get(key)
         if cached is None:
-            cached = is_join_irreducible(r, self.rows_family())
+            cached = is_join_irreducible(r, self.rows_family(), deadline)
             self._ji_cache[key] = cached
         return cached
 
@@ -198,7 +193,7 @@ class ObservationTable:
                 continue  # its row is an upper row by definition
             _check_deadline(deadline)
             r = self._rows[label]
-            if r.orbit_key() not in uppers and self._is_ji(r):
+            if r.orbit_key() not in uppers and self._is_ji(r, deadline):
                 return label
         return None
 
@@ -218,16 +213,48 @@ class ObservationTable:
         r2, atoms2 = self._extension_pattern(s2, letter)
         return placed_leq(r1, r2, landing(atoms1, atoms2))
 
-    def _ordered_pairs(self, deadline=None):
+    def _extension_class(self, s: Word) -> int:
+        """The extension class of a label of S, as a small int.
+
+        Labels share a class when they have as many atoms, the same
+        least-support row, and, letter by letter in `_letters` order,
+        the same least-support extension rows, with atoms written as
+        positions in the label's sorted atoms followed by the letter's
+        fresh atoms.  Every consistency verdict on a label pair depends
+        only on the two classes and the placement.
+        """
+        cls = self._classes.get(s)
+        if cls is None:
+            atoms = sorted(frozenset(s.atoms()))
+            r = self._rows[s].reduced()
+            key = [len(atoms), r.bits, tuple(map(atoms.index, r.support))]
+            for letter in self._letters(frozenset(atoms)):
+                joint = dict.fromkeys((*atoms, *letter.atoms))
+                at = {a: i for i, a in enumerate(joint)}
+                base, image = self._extension_pattern(s, letter)
+                key.append((base.bits, tuple(at[a] for a in image)))
+            cls = self._class_ids.setdefault(tuple(key), len(self._class_ids))
+            self._classes[s] = cls
+        return cls
+
+    def _ordered_pairs(self, deadline=None, per_class=False):
         """Every (s1, s2c) with s1 in S, s2c a placement of some s2 in S
         relative to s1, and row(s1) <= row(s2c), in search order;
-        placements cover overlapping supports.
+        placements cover overlapping supports.  Raises `OutOfTime` before
+        a label pair (s1, s2), and before deciding a new landing, once
+        ``deadline`` has passed.
 
         row(s1) <= inj.row(s2) iff inj^-1.row(s1) <= row(s2), which only
         depends on the two least-support rows and on where inj lands the
         support of row(s2) inside that of row(s1).  Each landing is
         decided once per pair of row values, and s2c is built only for
         the pairs it yields.
+
+        With ``per_class``, only the first label pair of each pair of
+        extension classes is walked: labels of one class give the same
+        verdicts, and a caller that stops at the first defect it finds
+        only comes back for a later label pair when the first one of its
+        class pair had none.
         """
         labels = self.s_labels()
         injections = {}  # (k2, k1) -> partial injections of sup2 into sup1
@@ -237,11 +264,17 @@ class ObservationTable:
         # it compare by identity
         placed = {}
         interned = {s: s for s in labels}
+        walked = set()  # class pairs, with per_class
         for s1 in labels:
-            _check_deadline(deadline)
             sup1 = sorted(frozenset(s1.atoms()))
             r1 = self._rows[s1].reduced()
             for s2 in labels:
+                _check_deadline(deadline)
+                if per_class:
+                    classes = (self._extension_class(s1), self._extension_class(s2))
+                    if classes in walked:
+                        continue
+                    walked.add(classes)
                 sup2 = sorted(frozenset(s2.atoms()))
                 r2 = self._rows[s2].reduced()
                 shape = (len(sup2), len(sup1))
@@ -260,6 +293,7 @@ class ObservationTable:
                 for n, land in enumerate(landings[key]):
                     below = known.get(land)
                     if below is None:
+                        _check_deadline(deadline)
                         pattern = tuple(sorted((i, j) for j, i in land))
                         below = known[land] = placed_leq(r1, r2, pattern)
                     if not below:
@@ -273,10 +307,15 @@ class ObservationTable:
 
     def find_consistency_defect(self, deadline=None):
         """A tuple (s1, s2, a, e) with row(s1) <= row(s2) yet a.e telling
-        their extensions apart.  Raises `OutOfTime` once ``deadline`` has
-        passed."""
+        their extensions apart: the first in search order.  Raises
+        `OutOfTime` once ``deadline`` has passed.
+
+        Labels of one extension class give the same verdict for every
+        placement, so a label pair is skipped when an earlier label pair
+        with the same class pair was searched in full without a defect.
+        """
         self._require_filled()
-        for s1, s2c in self._ordered_pairs(deadline):
+        for s1, s2c in self._ordered_pairs(deadline, per_class=True):
             if s2c == s1:
                 continue
             defect = self._extension_defect(s1, s2c)

@@ -22,11 +22,17 @@ column set keeps one placement map per pattern
 on the two masks (`placed_leq`); no word is built.  A concrete witness
 column is found by one loop over joint column instances
 (`first_difference`).
+
+Joins below a row are built from the placed copies that sit below it,
+one family row after another (`_survivors`).  The join-irreducibility
+test stops at the first copy that makes them cover the row, and checks
+the caller's deadline before each family row (`OutOfTime`).
 """
 
 from __future__ import annotations
 
 import itertools
+import time
 from bisect import insort
 
 from .orbits import (
@@ -42,6 +48,15 @@ from .orbits import (
 
 class ColumnError(KeyError):
     """A column outside the equivariant closure of the column set."""
+
+
+class OutOfTime(RuntimeError):
+    """A search passed its deadline (a ``time.monotonic()`` value)."""
+
+
+def _check_deadline(deadline):
+    if deadline is not None and time.monotonic() > deadline:
+        raise OutOfTime("wall-time budget exhausted")
 
 
 class ColumnSet:
@@ -400,15 +415,17 @@ def _realize(mapping, own_support, avoid):
     return full
 
 
-def _survivors(t: Row, family, strict):
-    """Placement patterns of family members that land (strictly) below t.
+def _survivors(t: Row, family, strict, deadline=None):
+    """The bits, spread onto t's basis, of every placed copy of a family
+    row that lands (strictly) below t, one family row after another;
+    raises `OutOfTime` before a family row once ``deadline`` has passed.
 
     Whether a placed copy sits below t only depends on which of its
     atoms land on which atoms of supp(t); the remaining atoms are fresh.
     """
-    out = []
     positions = range(len(t.support))
     for y0 in family:
+        _check_deadline(deadline)
         y = y0.reduced()
         for tpat in partial_injections(range(len(y.support)), positions):
             pattern = tuple(tpat.items())
@@ -416,8 +433,8 @@ def _survivors(t: Row, family, strict):
                 continue
             if strict and placed_leq(y, t, pattern, equal=True):
                 continue
-            out.append((y, pattern))
-    return out
+            up, _ = t.columns.placement_map(len(y.support), len(t.support), pattern)
+            yield _spread(y.bits, up)
 
 
 def join_below(target: Row, family, strict=False) -> Row:
@@ -432,21 +449,29 @@ def join_below(target: Row, family, strict=False) -> Row:
     """
     t = target.reduced()
     bits = 0
-    for y, pattern in _survivors(t, family, strict):
-        up, _ = t.columns.placement_map(len(y.support), len(t.support), pattern)
-        bits |= _spread(y.bits, up)
+    for spread in _survivors(t, family, strict):
+        bits |= spread
     return Row(target.owner, t.support_set, bits, target.columns)
 
 
-def is_join_irreducible(r: Row, family) -> bool:
+def is_join_irreducible(r: Row, family, deadline=None) -> bool:
     """Is the row not the join of the strictly smaller family elements?
 
-    The empty row is never join-irreducible.
+    Every strictly smaller placed copy sits inside the row, so the join
+    equals it exactly when the copies cover its bits; the search stops
+    at the first copy that completes the cover.  The empty row is never
+    join-irreducible.  Raises `OutOfTime` before a family row once
+    ``deadline`` has passed.
     """
     if not r.bits:
         return False
-    jb = join_below(r, family, strict=True)
-    return not row_eq(jb, r)
+    t = r.reduced()
+    covered = 0
+    for spread in _survivors(t, family, True, deadline):
+        covered |= spread
+        if covered == t.bits:
+            return False
+    return True
 
 
 def is_generated_by(target: Row, family) -> bool:

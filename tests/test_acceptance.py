@@ -17,10 +17,8 @@ from nomres.orbits import (
     Word,
     enumerate_word_orbits,
     count_partial_permutations,
-    split_into_a_orbits,
 )
 from nomres.automaton import (
-    SymbolicAutomaton,
     accepts,
     anchor,
     anchor_top,

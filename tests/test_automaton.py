@@ -7,9 +7,7 @@ from nomres.orbits import AlphabetSpec, Letter, Word, enumerate_word_orbits, par
 from nomres.automaton import (
     AlphabetMismatchError,
     AutomatonFormatError,
-    SymbolicAutomaton,
     StateOrbit,
-    TransitionLine,
     accepts,
     accepts_each,
     anchor,

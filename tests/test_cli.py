@@ -2,12 +2,10 @@ import argparse
 import json
 import math
 
-import pytest
-
 from nomres import cli
 from nomres.cli import main
 from nomres.automaton import SimulationLimitError, parse, accepts, render
-from nomres.orbits import enumerate_word_orbits, parse_word
+from nomres.orbits import enumerate_word_orbits
 from nomres import corpus
 
 

@@ -15,7 +15,6 @@ from nomres.orbits import (
     enumerate_word_orbits,
     letter_patterns,
     parse_word,
-    partial_injections,
     set_partition_labels,
     split_into_a_orbits,
     _word_orbits,

@@ -1,4 +1,9 @@
+import ast
+from pathlib import Path
+
 import nomres
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_public_surface():
@@ -54,3 +59,28 @@ def test_public_surface():
         "teacher",
         "universal_automaton",
     ]
+
+
+def _unused_imports(path):
+    """Module-level imported names that the file never reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_no_unused_imports():
+    # the package's __init__ imports names to re-export them
+    unused = {
+        str(path.relative_to(ROOT)): names
+        for top in ("src", "tests")
+        for path in sorted((ROOT / top).rglob("*.py"))
+        if path.name != "__init__.py" and (names := _unused_imports(path))
+    }
+    assert unused == {}

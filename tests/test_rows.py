@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from nomres.orbits import Letter, Word, EMPTY_WORD, parse_word
+from nomres.orbits import EMPTY_WORD, parse_word
 from nomres.rows import (
     ColumnError,
     ColumnSet,
@@ -345,6 +345,23 @@ class TestJoins:
         empty = make_row(cs, set(), {})
         family = [empty, make_row(cs, set(), {"eps": True})]
         assert not is_join_irreducible(empty, family)
+
+    def test_early_exit_agrees_with_full_join(self):
+        # the irreducibility test stops at the first placed copy that
+        # completes the cover; on Lng's extension rows most tests stop so
+        t = filled_table("Lng", 4, ["a(0) a(0) a(0) a(1)"])
+        family = t.rows_family()
+        verdicts = []
+        for label in t.all_labels():
+            if len(label) <= t.length:
+                continue
+            r = t.row(label)
+            expected = r.bits != 0 and not row_eq(
+                join_below(r, family, strict=True), r
+            )
+            assert is_join_irreducible(r, family) == expected, label.render()
+            verdicts.append(expected)
+        assert (len(verdicts), sum(verdicts)) == (52, 8)
 
     def test_generated_by(self):
         cs = lattice_columns()
