@@ -56,13 +56,19 @@ class TableNotConsistent(RuntimeError):
 
 
 class ObservationTable:
-    """Membership observations over row labels S u S.Sigma and columns E."""
+    """Membership observations over row labels S u S.Sigma and columns E.
 
-    def __init__(self, alphabet, oracle=None, columns=None):
+    ``deadline``, a ``time.monotonic()`` value or None, bounds the
+    table's work: every fill and every search of the table raises
+    `OutOfTime` once it has passed.
+    """
+
+    def __init__(self, alphabet, oracle=None, deadline=None):
         self.alphabet = alphabet
         self.oracle = oracle
+        self.deadline = deadline
         self.length = 0  # S is every word orbit of length <= this
-        self.columns = columns if columns is not None else ColumnSet()
+        self.columns = ColumnSet()
         self.answers = {}
         self._rows = {}
         self._filled_at = None
@@ -75,8 +81,7 @@ class ObservationTable:
         self._rowof_cache = {}
         self._extension_patterns = {}
         self._letter_cache = {}
-        self._classes = {}  # label -> its extension class, interned
-        self._class_ids = {}
+        self._representatives = None
 
     # -- labels ---------------------------------------------------------
 
@@ -104,10 +109,10 @@ class ObservationTable:
             self.answers[key] = value
         return value
 
-    def fill(self, oracle=None, deadline=None):
+    def fill(self, oracle=None):
         """Build rows for every S u S.Sigma representative, querying once
         per previously unseen canonical concatenation.  Raises `OutOfTime`
-        once ``deadline`` has passed, leaving the table unfilled."""
+        once the table's deadline has passed, leaving the table unfilled."""
         oracle = oracle or self.oracle
         if oracle is None:
             raise ValueError("no membership oracle")
@@ -116,7 +121,7 @@ class ObservationTable:
             return self
         rows = {}
         for label in self.all_labels():
-            _check_deadline(deadline)
+            _check_deadline(self.deadline)
             rows[label] = Row.build(
                 label,
                 self.columns,
@@ -170,38 +175,38 @@ class ObservationTable:
             )
         return self._family
 
-    def _is_ji(self, r: Row, deadline=None) -> bool:
+    def _is_ji(self, r: Row) -> bool:
         """Join-irreducibility against the equivariant Rows(T) is the
         same for every row of an orbit, so it is cached per orbit."""
         key = r.orbit_key()
         cached = self._ji_cache.get(key)
         if cached is None:
-            cached = is_join_irreducible(r, self.rows_family(), deadline)
+            cached = is_join_irreducible(r, self.rows_family(), self.deadline)
             self._ji_cache[key] = cached
         return cached
 
     # -- closedness -------------------------------------------------------
 
-    def find_closedness_defect(self, deadline=None) -> Optional[Word]:
+    def find_closedness_defect(self) -> Optional[Word]:
         """The shortest extension label whose row is join-irreducible but
         not an upper row, in enumeration order; None when join-closed.
-        Raises `OutOfTime` once ``deadline`` has passed."""
+        Raises `OutOfTime` once the table's deadline has passed."""
         self._require_filled()
         uppers = {self._rows[s].orbit_key() for s in self.s_labels()}
         for label in self.all_labels():
             if len(label) <= self.length:
                 continue  # its row is an upper row by definition
-            _check_deadline(deadline)
+            _check_deadline(self.deadline)
             r = self._rows[label]
-            if r.orbit_key() not in uppers and self._is_ji(r, deadline):
+            if r.orbit_key() not in uppers and self._is_ji(r):
                 return label
         return None
 
-    def close_step(self, defect: Word, deadline=None):
+    def close_step(self, defect: Word):
         """Grow S to all word orbits up to the defect's length."""
         self.length = max(self.length, len(defect))
         if self.oracle is not None:
-            self.fill(deadline=deadline)
+            self.fill()
         return self
 
     # -- consistency ------------------------------------------------------
@@ -213,8 +218,8 @@ class ObservationTable:
         r2, atoms2 = self._extension_pattern(s2, letter)
         return placed_leq(r1, r2, landing(atoms1, atoms2))
 
-    def _extension_class(self, s: Word) -> int:
-        """The extension class of a label of S, as a small int.
+    def _extension_class(self, s: Word) -> tuple:
+        """The extension class of a label of S, as a key tuple.
 
         Labels share a class when they have as many atoms, the same
         least-support row, and, letter by letter in `_letters` order,
@@ -223,58 +228,47 @@ class ObservationTable:
         fresh atoms.  Every consistency verdict on a label pair depends
         only on the two classes and the placement.
         """
-        cls = self._classes.get(s)
-        if cls is None:
-            atoms = sorted(frozenset(s.atoms()))
-            r = self._rows[s].reduced()
-            key = [len(atoms), r.bits, tuple(map(atoms.index, r.support))]
-            for letter in self._letters(frozenset(atoms)):
-                joint = dict.fromkeys((*atoms, *letter.atoms))
-                at = {a: i for i, a in enumerate(joint)}
-                base, image = self._extension_pattern(s, letter)
-                key.append((base.bits, tuple(at[a] for a in image)))
-            cls = self._class_ids.setdefault(tuple(key), len(self._class_ids))
-            self._classes[s] = cls
-        return cls
+        atoms = sorted(frozenset(s.atoms()))
+        r = self._rows[s].reduced()
+        key = [len(atoms), r.bits, tuple(map(atoms.index, r.support))]
+        for letter in self._letters(frozenset(atoms)):
+            joint = dict.fromkeys((*atoms, *letter.atoms))
+            at = {a: i for i, a in enumerate(joint)}
+            base, image = self._extension_pattern(s, letter)
+            key.append((base.bits, tuple(at[a] for a in image)))
+        return tuple(key)
 
-    def _ordered_pairs(self, deadline=None, per_class=False):
-        """Every (s1, s2c) with s1 in S, s2c a placement of some s2 in S
-        relative to s1, and row(s1) <= row(s2c), in search order;
-        placements cover overlapping supports.  Raises `OutOfTime` before
-        a label pair (s1, s2), and before deciding a new landing, once
-        ``deadline`` has passed.
+    def _class_representatives(self):
+        """The first label of S in each extension class, in label order;
+        cached until the next fill."""
+        if self._representatives is None:
+            first = {}
+            for s in self.s_labels():
+                first.setdefault(self._extension_class(s), s)
+            self._representatives = list(first.values())
+        return self._representatives
+
+    def _ordered_pairs(self, labels):
+        """Every (s1, s2c) with s1 in ``labels``, s2c a placement of some
+        s2 in ``labels`` relative to s1, and row(s1) <= row(s2c), in
+        search order; placements cover overlapping supports.  Raises
+        `OutOfTime` before a label pair (s1, s2), and before deciding a
+        new landing, once the table's deadline has passed.
 
         row(s1) <= inj.row(s2) iff inj^-1.row(s1) <= row(s2), which only
         depends on the two least-support rows and on where inj lands the
         support of row(s2) inside that of row(s1).  Each landing is
         decided once per pair of row values, and s2c is built only for
         the pairs it yields.
-
-        With ``per_class``, only the first label pair of each pair of
-        extension classes is walked: labels of one class give the same
-        verdicts, and a caller that stops at the first defect it finds
-        only comes back for a later label pair when the first one of its
-        class pair had none.
         """
-        labels = self.s_labels()
         injections = {}  # (k2, k1) -> partial injections of sup2 into sup1
         landings = {}  # -> per injection, the landing of row(s2) on row(s1)
         verdicts = {}  # (row(s1), row(s2)) as (size, bits) -> {landing: below}
-        # one word object per placed label, so that the memo keys holding
-        # it compare by identity
-        placed = {}
-        interned = {s: s for s in labels}
-        walked = set()  # class pairs, with per_class
         for s1 in labels:
             sup1 = sorted(frozenset(s1.atoms()))
             r1 = self._rows[s1].reduced()
             for s2 in labels:
-                _check_deadline(deadline)
-                if per_class:
-                    classes = (self._extension_class(s1), self._extension_class(s2))
-                    if classes in walked:
-                        continue
-                    walked.add(classes)
+                _check_deadline(self.deadline)
                 sup2 = sorted(frozenset(s2.atoms()))
                 r2 = self._rows[s2].reduced()
                 shape = (len(sup2), len(sup1))
@@ -293,29 +287,25 @@ class ObservationTable:
                 for n, land in enumerate(landings[key]):
                     below = known.get(land)
                     if below is None:
-                        _check_deadline(deadline)
+                        _check_deadline(self.deadline)
                         pattern = tuple(sorted((i, j) for j, i in land))
                         below = known[land] = placed_leq(r1, r2, pattern)
-                    if not below:
-                        continue
-                    s2c = placed.get((s2, len(sup1), n))
-                    if s2c is None:
-                        s2c = s2.rename(_realize(injs[n], sup2, sup1))
-                        s2c = interned.setdefault(s2c, s2c)
-                        placed[s2, len(sup1), n] = s2c
-                    yield s1, s2c
+                    if below:
+                        yield s1, s2.rename(_realize(injs[n], sup2, sup1))
 
-    def find_consistency_defect(self, deadline=None):
+    def find_consistency_defect(self):
         """A tuple (s1, s2, a, e) with row(s1) <= row(s2) yet a.e telling
         their extensions apart: the first in search order.  Raises
-        `OutOfTime` once ``deadline`` has passed.
+        `OutOfTime` once the table's deadline has passed.
 
         Labels of one extension class give the same verdict for every
-        placement, so a label pair is skipped when an earlier label pair
-        with the same class pair was searched in full without a defect.
+        placement, so only the first label of each class is paired up:
+        the first pair of a class pair is always (first of the one class,
+        first of the other), and a later pair of it has a defect only if
+        that first pair has one.
         """
         self._require_filled()
-        for s1, s2c in self._ordered_pairs(deadline, per_class=True):
+        for s1, s2c in self._ordered_pairs(self._class_representatives()):
             if s2c == s1:
                 continue
             defect = self._extension_defect(s1, s2c)
@@ -345,21 +335,21 @@ class ObservationTable:
                 return (s1, s2c, letter, e)
         return None
 
-    def consistency_step(self, defect, deadline=None):
+    def consistency_step(self, defect):
         """Add the orbit of a.e (and its suffixes, keeping E suffix-closed)."""
         _, _, letter, e = defect
         self.columns.add(Word([letter]) + e)
         if self.oracle is not None:
-            self.fill(deadline=deadline)
+            self.fill()
         return self
 
     # -- counterexamples --------------------------------------------------
 
-    def handle_counterexample(self, cex: Word, deadline=None):
+    def handle_counterexample(self, cex: Word):
         """Add the orbits of every suffix of the counterexample to E."""
         self.columns.add(canonicalize(cex))
         if self.oracle is not None:
-            self.fill(deadline=deadline)
+            self.fill()
         return self
 
     # -- hypothesis -------------------------------------------------------
@@ -531,7 +521,7 @@ def learn(teacher, budget: LearnBudget = None, log=None) -> LearnResult:
     start = time.monotonic()
     deadline = None if budget.wall_time is None else start + budget.wall_time
     emit = log if log is not None else (lambda line: None)
-    table = ObservationTable(teacher.alphabet, oracle=teacher.membership)
+    table = ObservationTable(teacher.alphabet, teacher.membership, deadline)
 
     def finish(hyp, reason=None):
         stats.final_l = table.length
@@ -542,12 +532,12 @@ def learn(teacher, budget: LearnBudget = None, log=None) -> LearnResult:
         return LearnResult(hyp, stats)
 
     try:
-        table.fill(deadline=deadline)
+        table.fill()
         while True:
             while True:
                 _check_deadline(deadline)
                 progressed = False
-                defect = table.find_closedness_defect(deadline)
+                defect = table.find_closedness_defect()
                 if defect is not None:
                     if len(defect) > budget.max_length:
                         emit(f"not-closed {defect.render()} exceeds length budget")
@@ -557,17 +547,17 @@ def learn(teacher, budget: LearnBudget = None, log=None) -> LearnResult:
                         f"row={table.row(defect).render()}; "
                         f"growing S to length {len(defect)}"
                     )
-                    table.close_step(defect, deadline)
+                    table.close_step(defect)
                     stats.closedness_rounds += 1
                     progressed = True
-                mismatch = table.find_consistency_defect(deadline)
+                mismatch = table.find_consistency_defect()
                 if mismatch is not None:
                     s1, s2, letter, e = mismatch
                     emit(
                         f"not-consistent ({s1.render()}, {s2.render()}) "
                         f"split by {letter.render()}.{e.render()}; growing E"
                     )
-                    table.consistency_step(mismatch, deadline)
+                    table.consistency_step(mismatch)
                     stats.consistency_rounds += 1
                     progressed = True
                 if not progressed:
@@ -585,6 +575,6 @@ def learn(teacher, budget: LearnBudget = None, log=None) -> LearnResult:
             if cex is None:
                 return finish(hyp)
             emit(f"counterexample {cex.render()}")
-            table.handle_counterexample(cex, deadline)
+            table.handle_counterexample(cex)
     except OutOfTime:
         return finish(None, "wall_time")

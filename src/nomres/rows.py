@@ -67,7 +67,7 @@ class ColumnSet:
     clears them.
     """
 
-    def __init__(self, patterns=()):
+    def __init__(self):
         self._patterns = []
         self._seen = set()
         self._instances = {}
@@ -76,8 +76,6 @@ class ColumnSet:
         self._maps = {}
         self.version = 0
         self.add(EMPTY_WORD)
-        for p in patterns:
-            self.add(p)
 
     def add(self, word: Word) -> bool:
         """Add the orbit of a word and of all its suffixes; report growth."""

@@ -226,7 +226,8 @@ _acceptance_outcomes = []
 
 
 def pytest_runtest_logreport(report):
-    if report.when == "call" and "test_acceptance" in report.nodeid:
+    test_file = report.nodeid.split("::")[0]
+    if report.when == "call" and test_file.endswith("tests/test_acceptance.py"):
         name = report.nodeid.split("::")[-1]
         _acceptance_outcomes.append((name, "PASS" if report.passed else "FAIL"))
 

@@ -90,34 +90,58 @@ class TestFillDeadline:
 
     def test_fill_past_deadline_leaves_table_unfilled(self):
         t = table_for("Ld", length=2, columns=["a(0)"], fill=False)
+        t.deadline = time.monotonic() - 1
         with pytest.raises(OutOfTime):
-            t.fill(deadline=time.monotonic() - 1)
+            t.fill()
         with pytest.raises(RuntimeError, match="not filled"):
             t.row(EMPTY_WORD)
+        t.deadline = None
         t.fill()
         assert rows_of(t) == rows_of(table_for("Ld", length=2, columns=["a(0)"]))
 
     @pytest.mark.parametrize(
         "step, grown",
         [
-            (lambda t, d: t.close_step(parse_word("a(0) a(1)"), d),
+            (lambda t: t.close_step(parse_word("a(0) a(1)")),
              dict(length=2)),
-            (lambda t, d: t.consistency_step(
-                (EMPTY_WORD, EMPTY_WORD, parse_word("a(0)")[0], EMPTY_WORD), d),
+            (lambda t: t.consistency_step(
+                (EMPTY_WORD, EMPTY_WORD, parse_word("a(0)")[0], EMPTY_WORD)),
              dict(columns=["a(0)"])),
-            (lambda t, d: t.handle_counterexample(parse_word("a(0) a(1)"), d),
+            (lambda t: t.handle_counterexample(parse_word("a(0) a(1)")),
              dict(columns=["a(0) a(1)"])),
         ],
         ids=["close_step", "consistency_step", "handle_counterexample"],
     )
     def test_steps_pass_their_deadline_to_fill(self, step, grown):
         t = table_for("Ld")
+        t.deadline = time.monotonic() - 1
         with pytest.raises(OutOfTime):
-            step(t, time.monotonic() - 1)
+            step(t)
         with pytest.raises(RuntimeError, match="not filled"):
             t.row(EMPTY_WORD)
+        t.deadline = None
         t.fill()
         assert rows_of(t) == rows_of(table_for("Ld", **grown))
+
+
+class TestSearchDeadline:
+    """Both searches of a filled table raise `OutOfTime` once the table's
+    deadline is over.  Each search first runs without a deadline, so its
+    join-irreducibility verdicts are cached and only the searches' own
+    checks are left to stop them."""
+
+    @pytest.mark.parametrize(
+        "name,length,columns", [("Ld", 0, []), ("Ln", 4, ["a(0) a(0)"])]
+    )
+    def test_searches_past_deadline_raise(self, name, length, columns):
+        t = table_for(name, length=length, columns=columns)
+        t.find_closedness_defect()
+        t.find_consistency_defect()
+        t.deadline = time.monotonic() - 1
+        with pytest.raises(OutOfTime):
+            t.find_closedness_defect()
+        with pytest.raises(OutOfTime):
+            t.find_consistency_defect()
 
 
 class TestClosedness:
@@ -275,7 +299,7 @@ class TestPatternComparison:
                     )
                     reference_defect = (s1, s2c, letter, e)
         assert checked
-        assert frozenset(t._ordered_pairs()) == frozenset(ordered)
+        assert frozenset(t._ordered_pairs(t.s_labels())) == frozenset(ordered)
         # Ak:2's table has a defect (test_known_inconsistent_fixture)
         assert t.find_consistency_defect() == reference_defect
 
@@ -311,10 +335,14 @@ class TestExtensionClasses:
     labels of one class give the same verdict for every placement."""
 
     # (target, l, E) -> (labels, classes); Ak:3's labels fall into 7
-    # classes by their rows alone, so its extension rows tell 22 apart
+    # classes by their rows alone, so its extension rows tell 22 apart.
+    # Ln's table has no defect and Ak:3's is its very first pair; Lng's,
+    # (a(0) a(1), a(1) a(1) a(0) a(0), a(0), a(0)), lies past the first
+    # class pair, so only there does the skip decide what is found
     TABLES = {
         ("Ln", 4, ("a(0) a(0)",)): (24, 8),
         ("Ak:3", 3, ()): (51, 22),
+        ("Lng", 4, ("a(0) a(0) a(0) a(1)",)): (24, 23),
     }
 
     @pytest.mark.parametrize("name,length,columns", list(TABLES))
@@ -468,10 +496,11 @@ class TestLearnLoop:
         assert result.diverged
 
     def test_wall_time_deadline_inside_searches(self):
-        """The closedness search checks the deadline per label and per
-        family row of a join-irreducibility test, the consistency search
-        per label pair, so a 0.5 s budget on Lng ends within 0.75 s of
-        it."""
+        """learn() hands its deadline to the table, whose closedness
+        search checks it per label and per family row of a
+        join-irreducibility test, and whose consistency search checks it
+        per pair of class representatives and per new landing, so a
+        0.5 s budget on Lng ends within 0.75 s of it."""
         teacher = for_corpus("Lng", eq_depth=5)
         start = time.monotonic()
         result = learn(
@@ -504,9 +533,9 @@ class TestLearnLoop:
         deadlines = []
         fill = ObservationTable.fill
 
-        def spy(self, oracle=None, deadline=None):
-            deadlines.append(deadline)
-            return fill(self, oracle, deadline)
+        def spy(self, oracle=None):
+            deadlines.append(self.deadline)
+            return fill(self, oracle)
 
         monkeypatch.setattr(ObservationTable, "fill", spy)
         result = learn(
