@@ -22,7 +22,9 @@ the word: a read atom that does not occur again is demoted to None,
 which no later letter matches and no later atom resolves.
 `accepts_each` walks a whole orbit enumeration instead, one step per
 word from its prefix's frontier; it cannot see the rest of a word, so
-it demotes nothing.
+it demotes nothing, and it makes each distinct step once per walk.
+`accepts` keeps no such memo: a command-line membership query parses
+its automaton afresh, so none of its steps repeats.
 """
 
 from __future__ import annotations
@@ -356,7 +358,8 @@ def _canon(regs, keep):
 
 
 def _step(aut, frontier, letter, fresh, keep, limit):
-    """The canonical configurations after reading one letter.
+    """The canonical configurations after reading one letter, as a
+    frozenset.
 
     fresh lists the letter atoms read for the first time; keep holds the
     read atoms that may still be compared, and guesses draw from it.
@@ -376,11 +379,13 @@ def _step(aut, frontier, letter, fresh, keep, limit):
                     nxt.add((cl.dst, _canon(dst, keep)))
     if len(nxt) > limit:
         raise SimulationLimitError(f"configuration frontier exceeded {limit} entries")
-    return nxt
+    return frozenset(nxt)
 
 
 def _initial_frontier(aut):
-    return {(q.name, _markers(q.dimension)) for q in aut.states if q.name in aut.initial}
+    return frozenset(
+        (q.name, _markers(q.dimension)) for q in aut.states if q.name in aut.initial
+    )
 
 
 def _frontier_limit(aut, distinct):
@@ -427,21 +432,32 @@ def accepts_each(aut: SymbolicAutomaton, words):
     enumerate_word_orbits lists them.  Each word steps once from its
     prefix's frontier, and only the frontiers of the previous length are
     kept.  The rest of a word is unknown here, so no atom is demoted.
+
+    Many words share a step: the prefix's frontier, the letter and the
+    number of atoms the prefix read fix the fresh atoms and the kept
+    ones, hence the next frontier.  Each distinct step is made once per
+    call, in a memo that ends with the call.
     """
     depth = len(words[-1]) if words else 0
     limit = _frontier_limit(aut, depth * aut.alphabet.dimension)
+    steps = {}  # (prefix frontier, letter, atoms the prefix read) -> frontier
     prev, cur, length = {}, {}, 0
     for w in words:
         letters = w.letters
         if len(letters) != length:
             prev, cur, length = cur, {}, len(letters)
         if letters:
-            frontier, read = prev[letters[:-1]]
+            prefix, read = prev[letters[:-1]]
             letter = letters[-1]
+            key = (prefix, letter, read)
             # canonical atoms: the prefix read 0 .. read-1
             fresh = [a for a in letter.atoms if a >= read]
             read += len(set(fresh))
-            frontier = _step(aut, frontier, letter, fresh, range(read), limit)
+            frontier = steps.get(key)
+            if frontier is None:
+                frontier = steps[key] = _step(
+                    aut, prefix, letter, fresh, range(read), limit
+                )
         else:
             frontier, read = _initial_frontier(aut), 0
         if length < depth:

@@ -11,9 +11,11 @@ equivariant.
 The walk shares prefixes: every automaton involved (the hypothesis, and
 the target when it is an automaton) steps each word once from the
 frontier of its prefix one letter shorter, keeping the frontiers of one
-length only.  The words are still checked in enumeration order, so the
-counterexample is the same as a word-by-word scan finds: the shortest
-disagreeing word, then the first in enumeration order.
+length only, and makes each distinct (frontier, letter, atoms read)
+step once per query (see `accepts_each`).  The words are still checked
+in enumeration order, so the counterexample is the same as a
+word-by-word scan finds: the shortest disagreeing word, then the first
+in enumeration order.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from nomres.automaton import (
     run_frontier,
     universal_automaton,
 )
-from nomres import corpus
+from nomres import automaton, corpus
 
 from conftest import random_automaton
 
@@ -172,6 +172,24 @@ class TestWalk:
         rng = random.Random(4242)
         for _ in range(50):
             self.assert_walk_agrees(random_automaton(rng), 4)
+
+    def test_one_step_per_distinct_key(self, monkeypatch):
+        """The prefix's frontier, the letter and the atoms the prefix read
+        fix a step; one walk makes each distinct step once."""
+        keys = []
+        step = automaton._step
+
+        def spy(aut, frontier, letter, fresh, keep, limit):
+            keys.append((frontier, letter, len(keep) - len(set(fresh))))
+            return step(aut, frontier, letter, fresh, keep, limit)
+
+        monkeypatch.setattr(automaton, "_step", spy)
+        aut = corpus.get("Ak:3").automaton
+        words = enumerate_word_orbits(aut.alphabet, 5)
+        list(accepts_each(aut, words))
+        # one word is empty, so a walk without the memo makes 1,954 steps
+        assert len(words) == 1955
+        assert len(keys) == len(set(keys)) == 342
 
 
 class TestStructuralChecks:

@@ -1,4 +1,5 @@
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,6 +14,7 @@ from nomres.orbits import (
     partial_injections,
     split_into_a_orbits,
 )
+from nomres import automaton, learner, rows
 from nomres.automaton import accepts
 from nomres.learner import (
     LearnBudget,
@@ -142,6 +144,53 @@ class TestSearchDeadline:
             t.find_closedness_defect()
         with pytest.raises(OutOfTime):
             t.find_consistency_defect()
+
+
+class TestOrderedPairsDeadline:
+    """`_ordered_pairs` checks the deadline before each label pair and
+    before each landing it has not decided yet.  A fake clock passes the
+    deadline as soon as the first landing is decided, so each test stops
+    at the one check it is about and would run on without it."""
+
+    @staticmethod
+    def walk_past_deadline(t, labels, monkeypatch):
+        """The landings decided and the pairs yielded before `OutOfTime`."""
+        now = [0.0]
+        monkeypatch.setattr(rows, "time", SimpleNamespace(monotonic=lambda: now[0]))
+        decided = []
+
+        def placed_leq(r1, r2, pattern):
+            decided.append(pattern)
+            now[0] = 2.0
+            return rows.placed_leq(r1, r2, pattern)
+
+        monkeypatch.setattr(learner, "placed_leq", placed_leq)
+        t.deadline = 1.0
+        yielded = []
+        with pytest.raises(OutOfTime):
+            for pair in t._ordered_pairs(labels):
+                yielded.append(pair)
+        return decided, yielded
+
+    def test_stops_before_the_next_landing_of_the_same_pair(self, monkeypatch):
+        # row(a(0)) has support {0}: the pair (a(0), a(0)) has two new
+        # landings, the empty one and the identity
+        t = table_for("Ld", length=1, columns=["a(0)"])
+        assert len(t.row(parse_word("a(0)")).reduced().support) == 1
+        decided, _ = self.walk_past_deadline(t, [parse_word("a(0)")], monkeypatch)
+        assert len(decided) == 1
+
+    def test_stops_before_the_next_pair(self, monkeypatch):
+        # row(eps) and row(a(0)) both reduce to the empty row, so every later
+        # pair only meets the landing the first pair decided
+        t = table_for("Ld")
+        labels = [EMPTY_WORD, parse_word("a(0)")]
+        assert {
+            (t.row(l).reduced().support, t.row(l).reduced().bits) for l in labels
+        } == {((), 0)}
+        decided, yielded = self.walk_past_deadline(t, labels, monkeypatch)
+        assert len(decided) == 1
+        assert yielded == [(EMPTY_WORD, EMPTY_WORD)]
 
 
 class TestClosedness:
@@ -393,6 +442,18 @@ class TestCounterexamples:
         assert t.columns.version == version
 
 
+def _reference_agreement_violations(table, hyp):
+    """hypothesis_agreement_violations, simulating each cell's word alone."""
+    bad = []
+    for s in table.s_labels():
+        for pattern in table.columns:
+            for e in split_into_a_orbits(pattern, frozenset(s.atoms())):
+                key = canonicalize(s + e)
+                if accepts(hyp.automaton, key) != table.answers[key]:
+                    bad.append((s, e))
+    return bad
+
+
 class TestBuildHypothesis:
     def test_star_language_hypothesis(self):
         alph = A1
@@ -428,6 +489,27 @@ class TestBuildHypothesis:
         t = table_for("Ld", length=2, columns=["a(0) a(0)"])
         hyp = t.build_hypothesis()
         assert hypothesis_agreement_violations(t, hyp) == []
+        assert _reference_agreement_violations(t, hyp) == []
+
+    @pytest.mark.parametrize(
+        "name,small,large",
+        [
+            ("Ld", dict(), dict(length=2, columns=["a(0) a(0)"])),
+            ("Ak:2", dict(length=1), dict(length=2, columns=["a(0) a(0)"])),
+            ("Lr", dict(length=1, columns=["a(0)"]),
+             dict(length=2, columns=["a(0) a(1) a(0)"])),
+        ],
+        ids=["Ld", "Ak:2", "Lr"],
+    )
+    def test_agreement_matches_word_by_word_reference(self, name, small, large):
+        """A hypothesis of a shorter table disagrees with a larger table of
+        the same target; the one orbit walk lists its violations as the
+        word-by-word reference does, order included."""
+        hyp = table_for(name, **small).build_hypothesis(verify_preconditions=False)
+        t = table_for(name, **large)
+        expected = _reference_agreement_violations(t, hyp)
+        assert expected
+        assert hypothesis_agreement_violations(t, hyp) == expected
 
     def test_provenance_covers_states(self):
         t = table_for("Ld", length=2, columns=["a(0) a(0)"])
@@ -545,6 +627,17 @@ class TestLearnLoop:
         assert not result.diverged
         assert len(deadlines) >= 3
         assert None not in deadlines and len(set(deadlines)) == 1
+
+    def test_no_word_is_simulated_alone(self, monkeypatch):
+        # a predicate-backed teacher: membership, the equivalence query and
+        # the agreement check never run one word through the hypothesis
+        def run(aut, w):
+            raise AssertionError(f"simulated {w.render()} alone")
+
+        monkeypatch.setattr(automaton, "_run", run)
+        result = learn(for_corpus("Ak:2"), LearnBudget(max_length=5))
+        assert not result.diverged
+        assert result.stats.agreement_violations == 0
 
     def test_divergence_reason(self):
         def reason(name, **budget):
