@@ -12,7 +12,6 @@ from .orbits import (
     Letter,
     Word,
     EMPTY_WORD,
-    a_canonicalize,
     canonicalize,
     count_partial_permutations,
     enumerate_word_orbits,

@@ -459,8 +459,7 @@ def hypothesis_agreement_violations(table: ObservationTable, hyp: Hypothesis):
     cells = [
         (s, e, table._concat_key(s, e))
         for s in table.s_labels()
-        for pattern in table.columns
-        for e in split_into_a_orbits(pattern, frozenset(s.atoms()))
+        for e in table.columns.instances(s.atoms())
     ]
     closure = {}
     for _, _, key in cells:

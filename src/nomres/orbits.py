@@ -227,30 +227,6 @@ def canonicalize_with_perm(w: Word):
     return pattern, dict(zip(pattern.atoms(), w.atoms()))
 
 
-def a_canonicalize(w: Word, fixed) -> Word:
-    """Canonical form under permutations fixing ``fixed`` pointwise.
-
-    Atoms of ``fixed`` are kept; all others are relabelled, in first
-    occurrence order, to fresh indices strictly above max(fixed).
-    """
-    fixed = frozenset(fixed)
-    nxt = fresh_atom(fixed)
-    relabel = {}
-    letters = []
-    for letter in w:
-        atoms = []
-        for a in letter.atoms:
-            if a in fixed:
-                atoms.append(a)
-            else:
-                if a not in relabel:
-                    relabel[a] = nxt
-                    nxt += 1
-                atoms.append(relabel[a])
-        letters.append(Letter(letter.tag, tuple(atoms)))
-    return Word(letters)
-
-
 def set_partition_labels(n: int):
     """All canonical labelings of n slots, one per set partition.
 

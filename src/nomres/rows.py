@@ -4,7 +4,7 @@ A row is a finitely supported subset of the (equivariant, orbit-finite)
 column set E, stored as one int bit mask over its basis
 ``columns.instances(support)``: bit i is the value at the i-th
 supp-orbit representative, and the value at any concrete column e is
-the bit of the canonical form of e relative to the row's support.
+the bit of the representative of its supp-orbit (`ColumnSet.position`).
 Order is pointwise implication, joins are pointwise union, and
 everything quantifying over "all renamings of a row" boils down to
 finitely many placement patterns of its support.  Orbit identity is one
@@ -17,11 +17,11 @@ support of the row it places.  Whether a placed copy of r1 sits below
 support land on which positions of r2's support.  Every other atom
 lands outside supp(r2), where any fresh atom does the same.  Bases of
 equally large supports list their instances in the same order, so the
-column set keeps one placement map per pattern
-(`ColumnSet.placement_map`), and a placed check is a few int operations
-on the two masks (`placed_leq`); no word is built.  A concrete witness
-column is found by one loop over joint column instances
-(`first_difference`).
+column set keeps one placement map per pattern, read off the basis of
+the joint support (`ColumnSet.placement_map`), and a placed check is a
+few int operations on the two masks (`placed_leq`); no word is built.
+A concrete witness column is found by one loop over joint column
+instances (`first_difference`).
 
 Joins below a row are built from the placed copies that sit below it,
 one family row after another (`_survivors`).  The join-irreducibility
@@ -33,13 +33,11 @@ from __future__ import annotations
 
 import itertools
 import time
-from bisect import insort
 
 from .orbits import (
     Word,
     EMPTY_WORD,
     canonicalize,
-    a_canonicalize,
     fresh_atom,
     partial_injections,
     split_into_a_orbits,
@@ -62,37 +60,36 @@ def _check_deadline(deadline):
 class ColumnSet:
     """Orbit representatives of the column set E: suffix-closed, has eps.
 
-    The instance tuples, their position indexes and the placement maps
-    are cached for the current version only: adding a column orbit
-    clears them.
+    The basis of a row on support A is ``instances(A)``: the A-orbits of
+    each column orbit in turn, as `split_into_a_orbits` lists them.  A
+    support of n atoms has the basis of ``range(n)`` up to renaming, so
+    the shapes of that one list (`_basis`) give every bit position
+    (`position`) and every placement map (`placement_map`).  All of
+    these are cached for the current version only: adding a column
+    orbit clears them.
     """
 
     def __init__(self):
         self._patterns = []
-        self._seen = set()
+        self._number = {}
         self._instances = {}
-        self._index = {}
-        self._shapes = {}
+        self._bases = {}
         self._maps = {}
         self.version = 0
         self.add(EMPTY_WORD)
 
     def add(self, word: Word) -> bool:
         """Add the orbit of a word and of all its suffixes; report growth."""
-        changed = False
-        for suffix in word.suffixes():
-            pattern = canonicalize(suffix)
-            if pattern not in self._seen:
-                self._seen.add(pattern)
-                insort(self._patterns, pattern, key=Word.sort_key)
-                changed = True
-        if changed:
-            self.version += 1
-            self._instances.clear()
-            self._index.clear()
-            self._shapes.clear()
-            self._maps.clear()
-        return changed
+        new = {canonicalize(s) for s in word.suffixes()} - self._number.keys()
+        if not new:
+            return False
+        self._patterns = sorted([*self._patterns, *new], key=Word.sort_key)
+        self._number = {pattern: p for p, pattern in enumerate(self._patterns)}
+        self.version += 1
+        self._instances.clear()
+        self._bases.clear()
+        self._maps.clear()
+        return True
 
     def instances(self, fixed) -> tuple:
         """All fixed-orbit representatives of all column orbits, cached.
@@ -111,33 +108,34 @@ class ColumnSet:
             self._instances[fixed] = cached
         return cached
 
-    def index(self, fixed) -> dict:
-        """{instance: its position in ``instances(fixed)``}, cached."""
-        fixed = frozenset(fixed)
-        cached = self._index.get(fixed)
+    @staticmethod
+    def _shape(p: int, e: Word, support) -> tuple:
+        """Column orbit number p, then the position of each distinct atom
+        of e in the sorted ``support``, or -1 for an atom outside it."""
+        at = {a: i for i, a in enumerate(support)}
+        return (p, tuple(at.get(a, -1) for a in dict.fromkeys(e.atoms())))
+
+    def _basis(self, n: int) -> tuple:
+        """The shapes of ``instances(range(n))`` in order, and {shape:
+        position}, cached: the basis of every support of n atoms."""
+        cached = self._bases.get(n)
         if cached is None:
-            cached = {e: i for i, e in enumerate(self.instances(fixed))}
-            self._index[fixed] = cached
+            shapes = tuple(
+                self._shape(p, e, range(n))
+                for p, pattern in enumerate(self._patterns)
+                for e in split_into_a_orbits(pattern, range(n))
+            )
+            cached = (shapes, {s: k for k, s in enumerate(shapes)})
+            self._bases[n] = cached
         return cached
 
-    def _shape_index(self, n: int) -> dict:
-        """{(column orbit number, block assignment): basis position} for
-        any support of n atoms, cached.
-
-        Blocks are the distinct atoms of a column pattern; each goes to
-        a position of the sorted support, or to -1 for a fresh atom.
-        This is the order of ``instances``, whatever the atoms are.
-        """
-        cached = self._shapes.get(n)
-        if cached is None:
-            cached = {}
-            for p, pattern in enumerate(self._patterns):
-                blocks = range(len(frozenset(pattern.atoms())))
-                for inj in partial_injections(blocks, range(n)):
-                    key = (p, tuple(inj.get(b, -1) for b in blocks))
-                    cached[key] = len(cached)
-            self._shapes[n] = cached
-        return cached
+    def position(self, e: Word, support) -> int:
+        """The position of the instance of e's orbit in the basis of the
+        sorted ``support``."""
+        p = self._number.get(canonicalize(e))
+        if p is None:
+            raise ColumnError(f"column {e.render()} is not in E")
+        return self._basis(len(support))[1][self._shape(p, e, support)]
 
     def placement_map(self, n1: int, n2: int, pattern: tuple):
         """How a placed row on n1 atoms meets a row on n2 atoms, cached.
@@ -161,23 +159,15 @@ class ColumnSet:
                     landing[i] = m
                     m += 1
             inv = {b: i for i, b in landing.items()}
-            own = self._shape_index(n1)
-            index = self._shape_index(n2)
+            own = self._basis(n1)[1]
+            index = self._basis(n2)[1]
             up = [0] * len(own)
             down = [0] * len(index)
-            for p, column in enumerate(self._patterns):
-                blocks = range(len(frozenset(column.atoms())))
-                for inj in partial_injections(blocks, range(m)):
-                    seen1 = []
-                    seen2 = []
-                    for b in blocks:
-                        x = inj.get(b, -1)
-                        seen1.append(inv.get(x, -1))
-                        seen2.append(x if x < n2 else -1)
-                    i = own[(p, tuple(seen1))]
-                    j = index[(p, tuple(seen2))]
-                    up[i] |= 1 << j
-                    down[j] |= 1 << i
+            for p, blocks in self._basis(m)[0]:
+                i = own[(p, tuple(inv.get(x, -1) for x in blocks))]
+                j = index[(p, tuple(x if x < n2 else -1 for x in blocks))]
+                up[i] |= 1 << j
+                down[j] |= 1 << i
             cached = self._maps[key] = (tuple(up), tuple(down))
         return cached
 
@@ -188,7 +178,7 @@ class ColumnSet:
         return len(self._patterns)
 
     def __contains__(self, word: Word) -> bool:
-        return canonicalize(word) in self._seen
+        return canonicalize(word) in self._number
 
     def __repr__(self):
         return f"ColumnSet({[p.render() for p in self._patterns]})"
@@ -213,7 +203,7 @@ class Row:
     """
 
     __slots__ = ("owner", "support", "support_set", "bits", "columns",
-                 "version", "_index", "_reduced", "_key")
+                 "version", "_reduced", "_key")
 
     def __init__(self, owner: Word, support, bits: int, columns: ColumnSet):
         self.owner = owner
@@ -222,14 +212,13 @@ class Row:
         self.bits = bits
         self.columns = columns
         self.version = columns.version
-        self._index = columns.index(self.support_set)
         self._reduced = None
         self._key = None
 
     @classmethod
-    def build(cls, owner: Word, columns: ColumnSet, value_of, support=None):
+    def build(cls, owner: Word, columns: ColumnSet, value_of):
         """Fill a row by evaluating `value_of` on each basis column."""
-        sup = frozenset(owner.atoms()) if support is None else frozenset(support)
+        sup = frozenset(owner.atoms())
         bits = 0
         for i, e in enumerate(columns.instances(sup)):
             if value_of(e):
@@ -239,17 +228,16 @@ class Row:
     @property
     def entries(self) -> dict:
         """{basis column: value}, in basis order."""
-        return {e: bool(self.bits >> i & 1) for e, i in self._index.items()}
-
-    def _bit(self, key: Word, e: Word) -> bool:
-        i = self._index.get(key)
-        if i is None:
-            raise ColumnError(f"column {e.render()} is not in E")
-        return bool(self.bits >> i & 1)
+        _check_current(self)
+        return {
+            e: bool(self.bits >> i & 1)
+            for i, e in enumerate(self.columns.instances(self.support_set))
+        }
 
     def value(self, e: Word) -> bool:
-        """Membership of a concrete column, via its support-canonical form."""
-        return self._bit(a_canonicalize(e, self.support_set), e)
+        """Membership of a concrete column: the bit of its basis instance."""
+        _check_current(self)
+        return bool(self.bits >> self.columns.position(e, self.support) & 1)
 
     def apply_perm(self, p) -> "Row":
         """The row renamed by ``p``, a dict injective on the owner's atoms."""

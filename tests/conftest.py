@@ -92,12 +92,18 @@ def lattice_columns():
     return cs
 
 
+def basis_bits(columns, support, value_of):
+    """The bit mask over ``columns.instances(support)`` of `value_of`."""
+    return sum(
+        1 << i for i, e in enumerate(columns.instances(support)) if value_of(e)
+    )
+
+
 def make_row(columns, support, bits):
     """A synthetic row: `bits` maps rendered basis columns to booleans."""
     owner = Word([Letter("a", (a,)) for a in sorted(support)])
-    return Row.build(
-        owner, columns, lambda e: bits.get(e.render(), False), support=support
-    )
+    mask = basis_bits(columns, support, lambda e: bits.get(e.render(), False))
+    return Row(owner, support, mask, columns)
 
 
 def random_row(rng, columns):

@@ -7,7 +7,6 @@ from nomres.orbits import (
     Letter,
     Word,
     EMPTY_WORD,
-    a_canonicalize,
     canonicalize,
     canonicalize_with_perm,
     count_partial_permutations,
@@ -100,28 +99,6 @@ class TestCanonicalize:
             p1, q1 = canonicalize_with_perm(w1)
             p2, q2 = canonicalize_with_perm(w2)
             assert w1.rename({b: q2[a] for a, b in q1.items()}) == w2
-
-
-class TestACanonicalize:
-    def test_examples(self):
-        assert a_canonicalize(parse_word("a(5) a(9)"), {5}).render() == "a(5) a(6)"
-        assert a_canonicalize(parse_word("a(5) a(5)"), {5}).render() == "a(5) a(5)"
-        assert a_canonicalize(parse_word("a(9) a(8)"), set()) == \
-            canonicalize(parse_word("a(9) a(8)"))
-
-    @given(words(max_atom=3), st.permutations([4, 5, 6, 7]))
-    def test_invariant_under_fixing_permutations(self, w, image):
-        # a permutation moving only atoms outside `fixed`
-        fixed = frozenset((0, 1, 2, 3))
-        p = dict(zip((4, 5, 6, 7), image))
-        shifted = w.rename(dict(zip((0, 1, 2, 3), (4, 5, 6, 7))))
-        assert a_canonicalize(shifted, fixed) == a_canonicalize(
-            shifted.rename(p), fixed
-        )
-
-    @given(words(max_atom=3))
-    def test_fully_fixed_words_unchanged(self, w):
-        assert a_canonicalize(w, frozenset((0, 1, 2, 3))) == w
 
 
 class TestEnumeration:

@@ -29,7 +29,6 @@ def test_public_surface():
         "TransitionLine",
         "UniversalityResult",
         "Word",
-        "a_canonicalize",
         "accepts",
         "anchor",
         "anchor_top",

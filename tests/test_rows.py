@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nomres.orbits import EMPTY_WORD, parse_word
 from nomres.rows import (
@@ -21,6 +22,7 @@ from nomres.learner import ObservationTable
 from nomres.teacher import MembershipOracle
 from conftest import (
     LATTICE_UNIVERSE,
+    basis_bits,
     brute_generated,
     brute_join_irreducible,
     concrete_columns,
@@ -70,6 +72,32 @@ class TestColumnSet:
         cs = columns_upto("a(0)")
         assert parse_word("a(9)") in cs
         assert parse_word("a(1) a(1)") not in cs
+
+    # the column sets of the orbit-key tests' tables, and a wide one
+    @pytest.mark.parametrize(
+        "texts",
+        [[], ["a(0) a(0)"], ["a(0) a(1) a(0)"]],
+        ids=["eps", "a0-a0", "a0-a1-a0"],
+    )
+    def test_position_reads_the_basis(self, texts):
+        cs = columns_upto(*texts)
+        for support in [(), (4,), (1, 6), (0, 3, 7)]:
+            basis = cs.instances(support)
+            assert [cs.position(e, support) for e in basis] == list(
+                range(len(basis))
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.data())
+    def test_value_invariant_under_fixing_renamings(self, seed, data):
+        # a renaming that moves only atoms outside the row's support
+        cs = columns_upto("a(0) a(1) a(0)")
+        r = wide_random_row(random.Random(seed), cs)
+        e = data.draw(st.sampled_from(cs.instances(r.support_set | {5, 6, 7})))
+        outside = [a for a in range(12) if a not in r.support_set]
+        p = dict(zip(outside, data.draw(st.permutations(outside))))
+        p.update((a, a) for a in r.support)
+        assert r.value(e) == r.value(e.rename(p))
 
 
 class TestRowBasics:
@@ -134,6 +162,11 @@ class TestRowOrder:
         cs.add(parse_word("a(0) a(0)"))
         with pytest.raises(ColumnError):
             row_leq(r, r)
+        # its bits index the old basis, which positions no longer read
+        with pytest.raises(ColumnError):
+            r.value(parse_word("a(1)"))
+        with pytest.raises(ColumnError):
+            r.entries
 
     def test_transitivity_on_random_rows(self):
         cs = lattice_columns()
@@ -307,7 +340,9 @@ class TestReducedReference:
                     r.apply_perm({b: fresh if b == a else b for b in r.support}), r
                 )
             ]
-            rebuilt = Row.build(r.owner, r.columns, r.value, support=least)
+            rebuilt = Row(
+                r.owner, least, basis_bits(r.columns, least, r.value), r.columns
+            )
             assert r.reduced().support == rebuilt.support
             assert r.reduced().bits == rebuilt.bits
 
