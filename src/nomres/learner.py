@@ -78,10 +78,8 @@ class ObservationTable:
     def _fill_caches(self):
         self._family = None
         self._ji_cache = {}
-        self._rowof_cache = {}
         self._extension_patterns = {}
         self._letter_cache = {}
-        self._representatives = None
 
     # -- labels ---------------------------------------------------------
 
@@ -144,13 +142,9 @@ class ObservationTable:
         """The row of any concrete word in the closure of S u S.Sigma,
         re-based on its least support (placements stay cheap that way)."""
         self._require_filled()
-        cached = self._rowof_cache.get(w)
-        if cached is None:
-            pattern, perm = canonicalize_with_perm(w)
-            base = self._rows[pattern].reduced()
-            cached = base if pattern == w else base.apply_perm(perm)
-            self._rowof_cache[w] = cached
-        return cached
+        pattern, perm = canonicalize_with_perm(w)
+        base = self._rows[pattern].reduced()
+        return base if pattern == w else base.apply_perm(perm)
 
     def _extension_pattern(self, label: Word, letter):
         """row_of(label + letter) without building it: the least-support
@@ -238,32 +232,22 @@ class ObservationTable:
             key.append((base.bits, tuple(at[a] for a in image)))
         return tuple(key)
 
-    def _class_representatives(self):
-        """The first label of S in each extension class, in label order;
-        cached until the next fill."""
-        if self._representatives is None:
-            first = {}
-            for s in self.s_labels():
-                first.setdefault(self._extension_class(s), s)
-            self._representatives = list(first.values())
-        return self._representatives
-
     def _ordered_pairs(self, labels):
         """Every (s1, s2c) with s1 in ``labels``, s2c a placement of some
         s2 in ``labels`` relative to s1, and row(s1) <= row(s2c), in
         search order; placements cover overlapping supports.  Raises
-        `OutOfTime` before a label pair (s1, s2), and before deciding a
-        new landing, once the table's deadline has passed.
+        `OutOfTime` before a label pair (s1, s2), and before each
+        placement of it, once the table's deadline has passed.
 
         row(s1) <= inj.row(s2) iff inj^-1.row(s1) <= row(s2), which only
         depends on the two least-support rows and on where inj lands the
-        support of row(s2) inside that of row(s1).  Each landing is
-        decided once per pair of row values, and s2c is built only for
-        the pairs it yields.
+        support of row(s2) inside that of row(s1).  A canonical label's
+        support is fixed by its size, so the placements of s2, each with
+        the pattern it places row(s2) by, are listed once per pair of
+        support sizes and least supports; s2c is built only for the
+        pairs it yields.
         """
-        injections = {}  # (k2, k1) -> partial injections of sup2 into sup1
-        landings = {}  # -> per injection, the landing of row(s2) on row(s1)
-        verdicts = {}  # (row(s1), row(s2)) as (size, bits) -> {landing: below}
+        placements = {}  # (k2, k1, least supports) -> [(injection, pattern)]
         for s1 in labels:
             sup1 = sorted(frozenset(s1.atoms()))
             r1 = self._rows[s1].reduced()
@@ -271,27 +255,17 @@ class ObservationTable:
                 _check_deadline(self.deadline)
                 sup2 = sorted(frozenset(s2.atoms()))
                 r2 = self._rows[s2].reduced()
-                shape = (len(sup2), len(sup1))
-                if shape not in injections:
-                    injections[shape] = list(partial_injections(sup2, sup1))
-                injs = injections[shape]
-                key = shape + (r2.support, r1.support)
-                if key not in landings:
-                    landings[key] = [
-                        landing([inj.get(b) for b in r2.support], r1.support)
-                        for inj in injs
-                    ]
-                known = verdicts.setdefault(
-                    (len(r1.support), r1.bits, len(r2.support), r2.bits), {}
-                )
-                for n, land in enumerate(landings[key]):
-                    below = known.get(land)
-                    if below is None:
-                        _check_deadline(self.deadline)
+                key = (len(sup2), len(sup1), r2.support, r1.support)
+                if key not in placements:
+                    placements[key] = []
+                    for inj in partial_injections(sup2, sup1):
+                        land = landing([inj.get(b) for b in r2.support], r1.support)
                         pattern = tuple(sorted((i, j) for j, i in land))
-                        below = known[land] = placed_leq(r1, r2, pattern)
-                    if below:
-                        yield s1, s2.rename(_realize(injs[n], sup2, sup1))
+                        placements[key].append((inj, pattern))
+                for inj, pattern in placements[key]:
+                    _check_deadline(self.deadline)
+                    if placed_leq(r1, r2, pattern):
+                        yield s1, s2.rename(_realize(inj, sup2, sup1))
 
     def find_consistency_defect(self):
         """A tuple (s1, s2, a, e) with row(s1) <= row(s2) yet a.e telling
@@ -305,7 +279,10 @@ class ObservationTable:
         that first pair has one.
         """
         self._require_filled()
-        for s1, s2c in self._ordered_pairs(self._class_representatives()):
+        first = {}
+        for s in self.s_labels():
+            first.setdefault(self._extension_class(s), s)
+        for s1, s2c in self._ordered_pairs(first.values()):
             if s2c == s1:
                 continue
             defect = self._extension_defect(s1, s2c)
@@ -525,11 +502,12 @@ def learn(teacher, budget: LearnBudget = None, log=None) -> LearnResult:
     start = time.monotonic()
     deadline = None if budget.wall_time is None else start + budget.wall_time
     emit = log if log is not None else (lambda line: None)
+    queries_before = teacher.membership.query_count
     table = ObservationTable(teacher.alphabet, teacher.membership, deadline)
 
     def finish(hyp, reason=None):
         stats.final_l = table.length
-        stats.membership_queries = teacher.membership.query_count
+        stats.membership_queries = teacher.membership.query_count - queries_before
         stats.wall_time = time.monotonic() - start
         stats.divergence_reason = reason
         emit("diverged" if hyp is None else "accepted")
@@ -575,7 +553,7 @@ def learn(teacher, budget: LearnBudget = None, log=None) -> LearnResult:
                 return finish(None, "equivalence")
             _check_deadline(deadline)
             stats.equivalence_queries += 1
-            cex = teacher.equivalence.equivalent(hyp)
+            cex = teacher.equivalence.equivalent(hyp.automaton)
             if cex is None:
                 return finish(hyp)
             emit(f"counterexample {cex.render()}")

@@ -67,13 +67,12 @@ class EquivalenceOracle:
         self.query_count = 0
 
     def equivalent(self, hypothesis):
-        """None when the hypothesis agrees on every orbit up to the depth,
-        otherwise the shortest (then enumeration-first) disagreeing word."""
+        """None when the automaton ``hypothesis`` agrees on every orbit up to
+        the depth, else the shortest (then enumeration-first) disagreeing word."""
         self.query_count += 1
-        aut = getattr(hypothesis, "automaton", hypothesis)
         words = enumerate_word_orbits(self.target.alphabet, self.depth)
-        verdicts = zip(words, self.target.evaluate_each(words), accepts_each(aut, words))
-        for w, expected, got in verdicts:
+        accepted = accepts_each(hypothesis, words)
+        for w, expected, got in zip(words, self.target.evaluate_each(words), accepted):
             if expected != got:
                 return w
         return None

@@ -557,6 +557,20 @@ class TestLearnLoop:
         for w in enumerate_word_orbits(A1, 6):
             assert accepts(result.hypothesis.automaton, w) == entry.predicate(w)
 
+    def test_stats_count_one_run_of_a_reused_teacher(self):
+        # the teacher's oracles count over their lifetime; each run's
+        # stats count only the queries that run made
+        teacher = for_corpus("Ld", eq_depth=6)
+        budget = LearnBudget(max_equivalence=20, max_length=4)
+        fingerprints = []
+        for _ in range(2):
+            st = learn(teacher, budget).stats
+            fingerprints.append(
+                (st.membership_queries, st.equivalence_queries, st.final_l)
+            )
+        assert fingerprints == [(39, 2, 2)] * 2
+        assert teacher.membership.query_count == 78
+
     def test_final_length_is_characterising_length(self):
         for name in ("Ld", "Lngr", "Compress"):
             teacher = for_corpus(name, eq_depth=6)

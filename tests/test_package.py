@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 import nomres
@@ -83,3 +84,48 @@ def test_no_unused_imports():
         if path.name != "__init__.py" and (names := _unused_imports(path))
     }
     assert unused == {}
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _dead_private_code(paths):
+    """Private functions, methods and classes that no file references
+    outside their own body, and private attributes stored but never
+    loaded, over all of ``paths`` together."""
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in paths]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+
+    def references(within):
+        refs = Counter()
+        for node in within:
+            if isinstance(node, ast.Name):
+                refs[node.id] += 1
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                refs[node.attr] += 1
+            elif isinstance(node, ast.alias):
+                refs[node.name] += 1
+        return refs
+
+    everywhere = references(nodes)
+    own = Counter()
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if _private(node.name):
+                own[node.name] += references(ast.walk(node))[node.name]
+    dead = {name for name, n in own.items() if everywhere[name] == n}
+    dead |= {
+        node.attr
+        for node in nodes
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and _private(node.attr)
+        and not everywhere[node.attr]
+    }
+    return sorted(dead)
+
+
+def test_no_dead_private_code():
+    # a memo whose reads went but whose reset stayed is dead code too
+    assert _dead_private_code(sorted((ROOT / "src").rglob("*.py"))) == []
