@@ -26,7 +26,6 @@ from .automaton import (
     accepts,
     anchor,
     anchor_top,
-    is_non_guessing,
     is_universal_residual,
     parse,
     render,

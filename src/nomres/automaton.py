@@ -443,12 +443,11 @@ def accepts_each(aut: SymbolicAutomaton, words):
     steps = {}  # (prefix frontier, letter, atoms the prefix read) -> frontier
     prev, cur, length = {}, {}, 0
     for w in words:
-        letters = w.letters
-        if len(letters) != length:
-            prev, cur, length = cur, {}, len(letters)
-        if letters:
-            prefix, read = prev[letters[:-1]]
-            letter = letters[-1]
+        if len(w) != length:
+            prev, cur, length = cur, {}, len(w)
+        if w:
+            prefix, read = prev[w[:-1]]
+            letter = w[-1]
             key = (prefix, letter, read)
             # canonical atoms: the prefix read 0 .. read-1
             fresh = [a for a in letter.atoms if a >= read]
@@ -461,24 +460,11 @@ def accepts_each(aut: SymbolicAutomaton, words):
         else:
             frontier, read = _initial_frontier(aut), 0
         if length < depth:
-            cur[letters] = (frontier, read)
+            cur[w] = (frontier, read)
         yield any(state in aut.final for state, _ in frontier)
 
 
 # -- structural checks and constructions -------------------------------------
-
-def is_non_guessing(aut: SymbolicAutomaton) -> bool:
-    """No stored atom that was not read: empty-support initial states and
-    destination registers drawn from source registers and the letter."""
-    for name in aut.initial:
-        if aut.state(name).dimension != 0:
-            return False
-    for t in aut.transitions:
-        known = set(t.src_vars) | set(t.letter_vars)
-        if any(v not in known for v in t.dst_vars):
-            return False
-    return True
-
 
 @dataclass(frozen=True)
 class UniversalityResult:

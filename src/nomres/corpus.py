@@ -21,7 +21,6 @@ class CorpusEntry:
     automaton: SymbolicAutomaton
     predicate: Callable[[Word], bool]
     residual: bool
-    non_guessing: bool
     # length of the longest shortest characterising word, when residual
     char_length: Optional[int] = None
     # state-orbit count of the canonical residual automaton, when known
@@ -237,31 +236,27 @@ def _ak_predicate(k: int):
 _FIXED = {
     "Ld": CorpusEntry(
         "Ld", _LD, _ld_predicate,
-        residual=True, non_guessing=True,
-        char_length=2, canonical_orbits=3,
+        residual=True, char_length=2, canonical_orbits=3,
     ),
     "Lngr": CorpusEntry(
         "Lngr", _LNGR, _lngr_predicate,
-        residual=True, non_guessing=True,
-        char_length=2, canonical_orbits=3,
+        residual=True, char_length=2, canonical_orbits=3,
     ),
     "Ln": CorpusEntry(
         "Ln", _LN, _ln_predicate,
-        residual=False, non_guessing=False,
+        residual=False,
     ),
     "Lr": CorpusEntry(
         "Lr", _LR, _lr_predicate,
-        residual=True, non_guessing=False,
-        char_length=2, canonical_orbits=2,
+        residual=True, char_length=2, canonical_orbits=2,
     ),
     "Lng": CorpusEntry(
         "Lng", _LNG, _lng_predicate,
-        residual=False, non_guessing=True,
+        residual=False,
     ),
     "Compress": CorpusEntry(
         "Compress", _COMPRESS, _compress_predicate,
-        residual=True, non_guessing=True,
-        char_length=2, canonical_orbits=2,
+        residual=True, char_length=2, canonical_orbits=2,
     ),
 }
 
@@ -282,7 +277,6 @@ def get(name: str) -> CorpusEntry:
             raise KeyError("Ak requires k >= 1")
         return CorpusEntry(
             name, _ak_automaton(k), _ak_predicate(k),
-            residual=True, non_guessing=False,
-            char_length=k, canonical_orbits=2,
+            residual=True, char_length=k, canonical_orbits=2,
         )
     raise KeyError(f"unknown corpus entry {name!r}")

@@ -21,7 +21,6 @@ from .orbits import (
     canonicalize,
     canonicalize_with_perm,
     enumerate_word_orbits,
-    fresh_atom,
     letter_patterns,
     partial_injections,
     split_into_a_orbits,
@@ -347,56 +346,45 @@ class ObservationTable:
         reduced = [r.reduced() for r in chosen]
 
         states = []
-        provenance = {}
         row_eps = self._rows[EMPTY_WORD]
         initial = []
         final = []
         for i, r in enumerate(chosen):
             name = f"q{i}"
             states.append(StateOrbit(name, len(reduced[i].support)))
-            provenance[name] = (r.owner, r)
             if row_leq(reduced[i], row_eps):
                 initial.append(name)
             if reduced[i].value(EMPTY_WORD):
                 final.append(name)
 
         transitions = []
-        tags = sorted(self.alphabet.tags)
         for i, r in enumerate(chosen):
             name = f"q{i}"
             owner = r.owner
             regs = reduced[i].support
             owner_atoms = frozenset(owner.atoms())
-            for tag in tags:
-                for base in letter_patterns(tag, self.alphabet.arity(tag)):
-                    for inst in split_into_a_orbits(
-                        Word([base]),
-                        frozenset(regs),
-                        fresh_start=fresh_atom(owner_atoms | frozenset(regs)),
-                    ):
-                        letter = inst[0]
-                        target, atoms = self._extension_pattern(owner, letter)
-                        scope = frozenset(regs) | frozenset(letter.atoms)
-                        for j, cand in enumerate(reduced):
-                            for inj in partial_injections(
-                                cand.support, sorted(scope)
-                            ):
-                                image = [inj.get(a) for a in cand.support]
-                                if not placed_leq(
-                                    cand, target, landing(image, atoms)
-                                ):
-                                    continue
-                                placement = _realize(
-                                    inj, cand.support, scope | owner_atoms
-                                )
-                                transitions.append(
-                                    self._line(name, regs, letter, f"q{j}",
-                                               tuple(placement[a] for a in cand.support))
-                                )
+            # one letter per orbit under renamings that fix the registers:
+            # the owner's letters that read no owner atom the row forgot
+            forgotten = owner_atoms.difference(regs)
+            for letter in self._letters(owner_atoms):
+                if forgotten.intersection(letter.atoms):
+                    continue
+                target, atoms = self._extension_pattern(owner, letter)
+                scope = frozenset(regs) | frozenset(letter.atoms)
+                for j, cand in enumerate(reduced):
+                    for inj in partial_injections(cand.support, sorted(scope)):
+                        image = [inj.get(a) for a in cand.support]
+                        if not placed_leq(cand, target, landing(image, atoms)):
+                            continue
+                        placement = _realize(inj, cand.support, scope | owner_atoms)
+                        transitions.append(
+                            self._line(name, regs, letter, f"q{j}",
+                                       tuple(placement[a] for a in cand.support))
+                        )
         automaton = SymbolicAutomaton(
             self.alphabet, states, initial, final, transitions
         )
-        return Hypothesis(automaton, provenance)
+        return Hypothesis(automaton)
 
     @staticmethod
     def _line(src, src_regs, letter, dst, dst_regs):
@@ -416,10 +404,9 @@ class ObservationTable:
 
 @dataclass(frozen=True)
 class Hypothesis:
-    """A table-built automaton plus, per state orbit, the owning label."""
+    """A table-built automaton."""
 
     automaton: SymbolicAutomaton
-    provenance: dict
 
     def state_orbit_count(self) -> int:
         return len(self.automaton.states)
@@ -441,10 +428,10 @@ def hypothesis_agreement_violations(table: ObservationTable, hyp: Hypothesis):
     closure = {}
     for _, _, key in cells:
         for i in range(len(key), -1, -1):
-            if key.letters[:i] in closure:
+            if key[:i] in closure:
                 break  # so are its shorter prefixes
-            closure[key.letters[:i]] = None
-    words = sorted(map(Word, closure), key=len)
+            closure[key[:i]] = None
+    words = sorted(closure, key=len)
     accepted = dict(zip(words, accepts_each(hyp.automaton, words)))
     return [(s, e) for s, e, key in cells if accepted[key] != table.answers[key]]
 

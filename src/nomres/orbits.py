@@ -4,6 +4,8 @@ Atoms are plain non-negative ints used purely as names: only equality
 between atoms is observable, and every public operation of this library
 gives renaming-invariant results.  A renaming is a plain dict from atoms
 to atoms, injective on the atoms it is applied to (``Word.rename``).
+Letters and words are tuples: immutable, and compared and hashed as
+tuples.
 
 A word orbit (all renamings of a word) is represented by its canonical
 form: atoms relabelled 0, 1, 2, ... in order of first occurrence, which
@@ -20,6 +22,7 @@ import itertools
 import re
 from functools import lru_cache
 from math import comb, factorial
+from typing import NamedTuple
 
 
 def fresh_atom(avoid) -> int:
@@ -79,27 +82,11 @@ class AlphabetSpec:
 DEFAULT_ALPHABET = AlphabetSpec([("a", 1)])
 
 
-class Letter:
-    """One alphabet symbol: a tag plus a tuple of atoms.
+class Letter(NamedTuple):
+    """One alphabet symbol: a tag plus a tuple of atoms."""
 
-    Treated as immutable everywhere (mutating one would corrupt hashes).
-    """
-
-    __slots__ = ("tag", "atoms")
-
-    def __init__(self, tag, atoms=()):
-        self.tag = tag
-        self.atoms = tuple(atoms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Letter)
-            and self.tag == other.tag
-            and self.atoms == other.atoms
-        )
-
-    def __hash__(self):
-        return hash((self.tag, self.atoms))
+    tag: str
+    atoms: tuple = ()
 
     def render(self) -> str:
         if not self.atoms:
@@ -110,49 +97,30 @@ class Letter:
         return f"Letter({self.render()!r})"
 
 
-class Word:
-    """A sequence of letters over one alphabet; treated as immutable."""
+class Word(tuple):
+    """A sequence of letters over one alphabet."""
 
-    __slots__ = ("letters", "_hash")
-
-    def __init__(self, letters=()):
-        self.letters = tuple(letters)
-        self._hash = None
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
+    __slots__ = ()
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return Word(self.letters[i])
-        return self.letters[i]
+            return Word(tuple.__getitem__(self, i))
+        return tuple.__getitem__(self, i)
 
     def __add__(self, other):
         if isinstance(other, Letter):
-            return Word(self.letters + (other,))
-        return Word(self.letters + other.letters)
-
-    def __eq__(self, other):
-        return isinstance(other, Word) and self.letters == other.letters
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.letters)
-        return self._hash
+            return Word((*self, other))
+        return Word(tuple.__add__(self, other))
 
     def atoms(self):
         """All atom occurrences, in positional order."""
-        for letter in self.letters:
+        for letter in self:
             yield from letter.atoms
 
     def rename(self, mapping):
         """Each atom a replaced by ``mapping.get(a, a)``."""
         return Word(
-            Letter(l.tag, tuple(mapping.get(a, a) for a in l.atoms))
-            for l in self.letters
+            Letter(l.tag, tuple(mapping.get(a, a) for a in l.atoms)) for l in self
         )
 
     def suffixes(self):
@@ -160,12 +128,12 @@ class Word:
         return [self[i:] for i in range(len(self) + 1)]
 
     def sort_key(self):
-        return (len(self.letters), tuple((l.tag, l.atoms) for l in self.letters))
+        return (len(self), self)
 
     def render(self) -> str:
-        if not self.letters:
+        if not self:
             return "eps"
-        return " ".join(l.render() for l in self.letters)
+        return " ".join(l.render() for l in self)
 
     def __repr__(self):
         return f"Word({self.render()!r})"
@@ -306,7 +274,7 @@ def enumerate_word_orbits(alphabet: AlphabetSpec, max_len: int):
     """
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
-    return list(_word_orbits(alphabet, max_len))
+    return _word_orbits(alphabet, max_len)
 
 
 def count_word_orbits(alphabet: AlphabetSpec, max_len: int) -> int:
@@ -346,20 +314,19 @@ def letter_patterns(tag: str, arity: int):
     return [Letter(tag, labels) for labels in set_partition_labels(arity)]
 
 
-def split_into_a_orbits(pattern: Word, fixed, fresh_start=None):
+def split_into_a_orbits(pattern: Word, fixed):
     """One representative per A-orbit inside the orbit of ``pattern``.
 
     Representatives are produced by mapping the pattern's atom blocks
     into ``fixed`` by every partial injection; unmapped blocks become
-    fresh pairwise-distinct atoms starting at ``fresh_start`` (defaults
-    to just above max(fixed)).
+    fresh pairwise-distinct atoms just above max(fixed).
     """
     fixed = frozenset(fixed)
     blocks = []
     for a in pattern.atoms():
         if a not in blocks:
             blocks.append(a)
-    base = fresh_atom(fixed) if fresh_start is None else fresh_start
+    base = fresh_atom(fixed)
     out = []
     for inj in partial_injections(blocks, sorted(fixed)):
         assignment = {}
@@ -370,10 +337,5 @@ def split_into_a_orbits(pattern: Word, fixed, fresh_start=None):
             else:
                 assignment[b] = nxt
                 nxt += 1
-        out.append(
-            Word(
-                Letter(l.tag, tuple(assignment[a] for a in l.atoms))
-                for l in pattern
-            )
-        )
+        out.append(pattern.rename(assignment))
     return out

@@ -12,7 +12,6 @@ from nomres.automaton import (
     accepts_each,
     anchor,
     anchor_top,
-    is_non_guessing,
     is_universal_residual,
     parse,
     render,
@@ -193,11 +192,6 @@ class TestWalk:
 
 
 class TestStructuralChecks:
-    def test_non_guessing(self):
-        assert is_non_guessing(LNGR)
-        assert not is_non_guessing(LN)
-        assert is_non_guessing(parse("alphabet a 1\nstate q 0\ninitial q\nfinal q\ntrans q a(x) q\n"))
-
     def test_universal_automaton_is_universal(self):
         verdict = is_universal_residual(universal_automaton(AlphabetSpec([("a", 1)])))
         assert verdict.universal

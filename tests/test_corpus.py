@@ -1,7 +1,7 @@
 import pytest
 
 from nomres.orbits import Letter, Word, enumerate_word_orbits, parse_word
-from nomres.automaton import accepts, anchor, is_non_guessing, parse
+from nomres.automaton import accepts, anchor, parse
 from nomres import corpus
 
 # { a w | a not in w } plus the empty word.
@@ -96,14 +96,8 @@ class TestAutomatonPredicateAgreement:
 
 
 class TestMetadata:
-    @pytest.mark.parametrize("name", ALL_NAMES)
-    def test_non_guessing_flag_matches_structure(self, name):
-        entry = corpus.get(name)
-        assert is_non_guessing(entry.automaton) == entry.non_guessing
-
     def test_expected_flags(self):
         assert corpus.get("Ln").residual is False
-        assert corpus.get("Lng").non_guessing
         assert corpus.get("Lr").residual
         assert corpus.get("Ak:3").char_length == 3
 
@@ -113,7 +107,7 @@ class TestMetadata:
         # accepts
         ln = corpus.get("Ln")
         for w in enumerate_word_orbits(FIRST_LETTER_FRESH.alphabet, 4):
-            reversed_w = Word(reversed(w.letters))
+            reversed_w = Word(reversed(w))
             assert accepts(FIRST_LETTER_FRESH, reversed_w) == ln.predicate(w)
 
 

@@ -148,13 +148,14 @@ class TestSearchDeadline:
 
 class TestOrderedPairsDeadline:
     """`_ordered_pairs` checks the deadline before each label pair and
-    before each landing it has not decided yet.  A fake clock passes the
-    deadline as soon as the first landing is decided, so each test stops
-    at the one check it is about and would run on without it."""
+    before each placement of it, and decides every placement afresh.  A
+    fake clock passes the deadline as soon as the first placement is
+    decided, so each test stops at the one check it is about and would
+    run on without it."""
 
     @staticmethod
     def walk_past_deadline(t, labels, monkeypatch):
-        """The landings decided and the pairs yielded before `OutOfTime`."""
+        """The placements decided and the pairs yielded before `OutOfTime`."""
         now = [0.0]
         monkeypatch.setattr(rows, "time", SimpleNamespace(monotonic=lambda: now[0]))
         decided = []
@@ -173,16 +174,16 @@ class TestOrderedPairsDeadline:
         return decided, yielded
 
     def test_stops_before_the_next_landing_of_the_same_pair(self, monkeypatch):
-        # row(a(0)) has support {0}: the pair (a(0), a(0)) has two new
-        # landings, the empty one and the identity
+        # row(a(0)) has support {0}: the pair (a(0), a(0)) has two
+        # placements, landing nowhere and on the identity
         t = table_for("Ld", length=1, columns=["a(0)"])
         assert len(t.row(parse_word("a(0)")).reduced().support) == 1
         decided, _ = self.walk_past_deadline(t, [parse_word("a(0)")], monkeypatch)
         assert len(decided) == 1
 
     def test_stops_before_the_next_pair(self, monkeypatch):
-        # row(eps) and row(a(0)) both reduce to the empty row, so every later
-        # pair only meets the landing the first pair decided
+        # row(eps) has the empty support, so the pair (eps, eps) has one
+        # placement and the next check is the one before the next pair
         t = table_for("Ld")
         labels = [EMPTY_WORD, parse_word("a(0)")]
         assert {
@@ -511,10 +512,29 @@ class TestBuildHypothesis:
         assert expected
         assert hypothesis_agreement_violations(t, hyp) == expected
 
-    def test_provenance_covers_states(self):
-        t = table_for("Ld", length=2, columns=["a(0) a(0)"])
-        hyp = t.build_hypothesis()
-        assert set(hyp.provenance) == {q.name for q in hyp.automaton.states}
+
+    @pytest.mark.parametrize(
+        "name, depth, max_l",
+        [("Ld", 6, 4), ("Lngr", 5, 4), ("Lr", 5, 4), ("Compress", 6, 4),
+         ("Ak:1", 3, 3), ("Ak:2", 5, 4)],
+    )
+    def test_each_transition_line_once(self, name, depth, max_l, monkeypatch):
+        """Every hypothesis of a learning run lists each transition line
+        once: one letter per orbit that fixes a state's registers."""
+        built = []
+        build = ObservationTable.build_hypothesis
+
+        def recording(t, *args, **kwargs):
+            built.append(build(t, *args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(ObservationTable, "build_hypothesis", recording)
+        learn(for_corpus(name, eq_depth=depth),
+              LearnBudget(max_equivalence=40, max_length=max_l))
+        assert built
+        for hyp in built:
+            lines = automaton.render(hyp.automaton).splitlines()
+            assert len(lines) == len(set(lines))
 
 
 class TestTableEquivariance:

@@ -72,6 +72,29 @@ class TestWordBasics:
         assert ANC.dimension == 1
 
 
+class TestTupleTypes:
+    def test_letters_and_words_are_immutable(self):
+        letter = Letter("a", (0,))
+        word = Word([letter])
+        for obj, attr, value in [
+            (letter, "tag", "b"),
+            (letter, "atoms", (1,)),
+            (word, "letters", ()),
+        ]:
+            with pytest.raises(AttributeError):
+                setattr(obj, attr, value)
+        assert letter == Letter("a", (0,)) and word == Word([letter])
+
+    @given(words())
+    def test_hashes_are_the_tuple_hashes(self, w):
+        """Set and dict iteration orders, hence every fingerprint under a
+        fixed hash seed, rest on these two identities."""
+        w = w + Letter("c") + Letter("f", (0, 1))
+        for letter in w:
+            assert hash(letter) == hash((letter.tag, letter.atoms))
+        assert hash(w) == hash(tuple(w))
+
+
 class TestCanonicalize:
     def test_first_occurrence_relabelling(self):
         assert canonicalize(parse_word("a(7) a(3) a(9) a(7)")).render() == \

@@ -1,6 +1,7 @@
 import ast
 from collections import Counter
 from pathlib import Path
+from types import ModuleType
 
 import nomres
 
@@ -43,7 +44,6 @@ def test_public_surface():
         "hypothesis_agreement_violations",
         "is_generated_by",
         "is_join_irreducible",
-        "is_non_guessing",
         "is_universal_residual",
         "join_below",
         "learn",
@@ -59,6 +59,29 @@ def test_public_surface():
         "teacher",
         "universal_automaton",
     ]
+
+
+def _names_read(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_public_names_are_used():
+    """Every exported name is read by the system, outside the package's
+    re-exports, or by an acceptance criterion."""
+    readers = [p for p in sorted((ROOT / "src").rglob("*.py")) if p.name != "__init__.py"]
+    readers.append(ROOT / "tests" / "test_acceptance.py")
+    read = set().union(*map(_names_read, readers))
+    unread = [
+        name
+        for name in nomres.__all__
+        if not isinstance(getattr(nomres, name), ModuleType) and name not in read
+    ]
+    assert unread == []
 
 
 def _unused_imports(path):
