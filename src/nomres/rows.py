@@ -15,12 +15,13 @@ A placement is a plain dict {own atom: placed atom}, injective on the
 support of the row it places.  Whether a placed copy of r1 sits below
 (or equals) r2 depends only on its pattern: which positions of r1's
 support land on which positions of r2's support.  Every other atom
-lands outside supp(r2), where any fresh atom does the same.  Bases of
-equally large supports list their instances in the same order, so the
-column set keeps one placement map per pattern, read off the basis of
-the joint support (`ColumnSet.placement_map`), and a placed check is a
-few int operations on the two masks (`placed_leq`); no word is built.
-A concrete witness column is found by one loop over joint column
+lands outside supp(r2), where any fresh atom does the same.
+
+A basis is one block per column orbit (`ColumnSet`).  A first-time
+check (`placed_leq`) walks the blocks and stops at the first violated
+one; a check that passes caches the flat map, the block maps shifted
+into place, which later checks and every spread read.  No word is built;
+a concrete witness column is found by one loop over joint column
 instances (`first_difference`).
 
 Joins below a row are built from the placed copies that sit below it,
@@ -62,19 +63,22 @@ class ColumnSet:
 
     The basis of a row on support A is ``instances(A)``: the A-orbits of
     each column orbit in turn, as `split_into_a_orbits` lists them.  A
-    support of n atoms has the basis of ``range(n)`` up to renaming, so
-    the shapes of that one list (`_basis`) give every bit position
-    (`position`) and every placement map (`placement_map`).  All of
-    these are cached for the current version only: adding a column
-    orbit clears them.
+    column orbit with k atoms has one block, whose shapes (`_block`) and
+    maps (`_block_map`) depend only on k, the support sizes and the
+    pattern, not on E, so they stay for the life of the column set.
+    Block offsets (`_layout`), instances and flat maps (`placement_map`)
+    hold for the current version only: adding a column orbit clears them.
     """
 
     def __init__(self):
         self._patterns = []
         self._number = {}
+        self._ks = ()
         self._instances = {}
-        self._bases = {}
+        self._layouts = {}
         self._maps = {}
+        self._blocks = {}
+        self._block_maps = {}
         self.version = 0
         self.add(EMPTY_WORD)
 
@@ -85,9 +89,10 @@ class ColumnSet:
             return False
         self._patterns = sorted([*self._patterns, *new], key=Word.sort_key)
         self._number = {pattern: p for p, pattern in enumerate(self._patterns)}
+        self._ks = tuple(len(set(pattern.atoms())) for pattern in self._patterns)
         self.version += 1
         self._instances.clear()
-        self._bases.clear()
+        self._layouts.clear()
         self._maps.clear()
         return True
 
@@ -108,25 +113,28 @@ class ColumnSet:
             self._instances[fixed] = cached
         return cached
 
-    @staticmethod
-    def _shape(p: int, e: Word, support) -> tuple:
-        """Column orbit number p, then the position of each distinct atom
-        of e in the sorted ``support``, or -1 for an atom outside it."""
-        at = {a: i for i, a in enumerate(support)}
-        return (p, tuple(at.get(a, -1) for a in dict.fromkeys(e.atoms())))
-
-    def _basis(self, n: int) -> tuple:
-        """The shapes of ``instances(range(n))`` in order, and {shape:
-        position}, cached: the basis of every support of n atoms."""
-        cached = self._bases.get(n)
+    def _block(self, k: int, n: int) -> tuple:
+        """The shapes of a k-atom column orbit's instances on n support
+        atoms, in order, and {shape: index}; -1 marks an atom outside."""
+        cached = self._blocks.get((k, n))
         if cached is None:
             shapes = tuple(
-                self._shape(p, e, range(n))
-                for p, pattern in enumerate(self._patterns)
-                for e in split_into_a_orbits(pattern, range(n))
+                tuple(inj.get(b, -1) for b in range(k))
+                for inj in partial_injections(range(k), range(n))
             )
-            cached = (shapes, {s: k for k, s in enumerate(shapes)})
-            self._bases[n] = cached
+            cached = self._blocks[k, n] = (shapes, {s: i for i, s in enumerate(shapes)})
+        return cached
+
+    def _layout(self, n: int) -> tuple:
+        """Per column orbit: its k, and the offset and bit mask of its
+        block in the basis of a support of n atoms."""
+        cached = self._layouts.get(n)
+        if cached is None:
+            widths = [len(self._block(k, n)[0]) for k in self._ks]
+            offsets = itertools.accumulate(widths, initial=0)
+            cached = self._layouts[n] = tuple(
+                (k, o, (1 << w) - 1) for k, o, w in zip(self._ks, offsets, widths)
+            )
         return cached
 
     def position(self, e: Word, support) -> int:
@@ -135,7 +143,35 @@ class ColumnSet:
         p = self._number.get(canonicalize(e))
         if p is None:
             raise ColumnError(f"column {e.render()} is not in E")
-        return self._basis(len(support))[1][self._shape(p, e, support)]
+        at = {a: i for i, a in enumerate(support)}
+        shape = tuple(at.get(a, -1) for a in dict.fromkeys(e.atoms()))
+        n = len(support)
+        return self._layout(n)[p][1] + self._block(len(shape), n)[1][shape]
+
+    def _block_map(self, k: int, n1: int, n2: int, pattern: tuple):
+        """`placement_map` restricted to the blocks of a k-atom column
+        orbit, with positions counted from each block's start."""
+        if not k:
+            return (1,), (1,)
+        key = (k, n1, n2, pattern)
+        cached = self._block_maps.get(key)
+        if cached is None:
+            # the joint support is 0..m-1: the target's atoms first, then
+            # the placed atoms that land outside it
+            inv = {j: i for i, j in pattern}
+            outside = [i for i in range(n1) if i not in inv.values()]
+            m = n2 + len(outside)
+            inv.update(zip(range(n2, m), outside))
+            own = self._block(k, n1)[1]
+            index = self._block(k, n2)[1]
+            up, down = [0] * len(own), [0] * len(index)
+            for shape in self._block(k, m)[0]:
+                i = own[tuple(inv.get(x, -1) for x in shape)]
+                j = index[tuple(x if x < n2 else -1 for x in shape)]
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+            cached = self._block_maps[key] = (tuple(up), tuple(down))
+        return cached
 
     def placement_map(self, n1: int, n2: int, pattern: tuple):
         """How a placed row on n1 atoms meets a row on n2 atoms, cached.
@@ -145,29 +181,17 @@ class ColumnSet:
         atoms land outside it.  Returns ``(up, down)``: ``up[i]`` masks
         the target basis positions that share a joint column instance
         with placed basis position i, and ``down[j]`` the placed
-        positions sharing one with target position j.
+        positions sharing one with target position j: the block maps,
+        each shifted by the other side's offset.
         """
         key = (n1, n2, pattern)
         cached = self._maps.get(key)
         if cached is None:
-            # the joint support is 0..m-1: the target's atoms first, then
-            # the placed atoms that land outside it
-            landing = dict(pattern)
-            m = n2
-            for i in range(n1):
-                if i not in landing:
-                    landing[i] = m
-                    m += 1
-            inv = {b: i for i, b in landing.items()}
-            own = self._basis(n1)[1]
-            index = self._basis(n2)[1]
-            up = [0] * len(own)
-            down = [0] * len(index)
-            for p, blocks in self._basis(m)[0]:
-                i = own[(p, tuple(inv.get(x, -1) for x in blocks))]
-                j = index[(p, tuple(x if x < n2 else -1 for x in blocks))]
-                up[i] |= 1 << j
-                down[j] |= 1 << i
+            up, down = [], []
+            for (k, o1, _), (_, o2, _) in zip(self._layout(n1), self._layout(n2)):
+                bup, bdown = self._block_map(k, n1, n2, pattern)
+                up += [mask << o2 for mask in bup]
+                down += [mask << o1 for mask in bdown]
             cached = self._maps[key] = (tuple(up), tuple(down))
         return cached
 
@@ -339,12 +363,28 @@ def placed_leq(r1: Row, r2: Row, pattern: tuple, equal=False) -> bool:
     ``pattern`` pairs positions (i, j), increasing in i: atom i of r1's
     support lands on atom j of r2's support, and every other atom lands
     outside supp(r2).
+
+    Without the pattern's flat map cached, the column blocks are checked
+    in basis order up to the first violated one; a True verdict caches
+    the flat map for the spread that usually follows.
     """
     _check_current(r1, r2)
-    up, down = r2.columns.placement_map(len(r1.support), len(r2.support), pattern)
-    return not _meets(r1.bits, up, r2.bits, down) and not (
-        equal and _meets(r2.bits, down, r1.bits, up)
-    )
+    columns = r2.columns
+    n1, n2 = len(r1.support), len(r2.support)
+    cached = columns._maps.get((n1, n2, pattern))
+    if cached is not None:
+        return _fits(r1.bits, r2.bits, *cached, equal)
+    for (k, o1, m1), (_, o2, m2) in zip(columns._layout(n1), columns._layout(n2)):
+        up, down = columns._block_map(k, n1, n2, pattern)
+        if not _fits(r1.bits >> o1 & m1, r2.bits >> o2 & m2, up, down, equal):
+            return False
+    columns.placement_map(n1, n2, pattern)
+    return True
+
+
+def _fits(b1: int, b2: int, up, down, equal) -> bool:
+    """Is b1 below b2 (with ``equal``: equal to it) through ``(up, down)``?"""
+    return not _meets(b1, up, b2, down) and not (equal and _meets(b2, down, b1, up))
 
 
 def _meets(b1: int, up, b2: int, down) -> bool:

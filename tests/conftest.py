@@ -11,8 +11,11 @@ import random
 import pytest
 
 from nomres.orbits import AlphabetSpec, Letter, Word, enumerate_word_orbits
+from nomres import corpus
 from nomres.automaton import accepts
+from nomres.learner import LearnBudget, learn
 from nomres.rows import ColumnSet, Row
+from nomres.teacher import for_corpus, for_language
 
 
 def all_concrete_words(alphabet, universe, length):
@@ -180,6 +183,43 @@ def brute_generated(target_set, concrete_family):
 @pytest.fixture
 def rng():
     return random.Random(20240921)
+
+
+# -- the acceptance learning runs ----------------------------------------
+
+# (name, equivalence depth, length budget); depths per the criteria:
+# at least 6 for Ld and Compress, at least 2k+1 for Ak(k)
+SUCCESS_TARGETS = [
+    ("Ld", 6, 4),
+    ("Lngr", 5, 4),
+    ("Lr", 5, 4),
+    ("Compress", 6, 4),
+    ("Ak:1", 3, 3),
+    ("Ak:2", 5, 4),
+    ("Ak:3", 7, 5),
+]
+
+
+@pytest.fixture(scope="session")
+def learning_runs():
+    runs = {}
+    for name, depth, max_l in SUCCESS_TARGETS:
+        teacher = for_corpus(name, eq_depth=depth)
+        result = learn(teacher, LearnBudget(max_equivalence=40, max_length=max_l))
+        runs[name] = (result, depth)
+    return runs
+
+
+@pytest.fixture(scope="session")
+def divergence_runs():
+    runs = {}
+    for name in ("Ln", "Lng"):
+        entry = corpus.get(name)
+        teacher = for_language(
+            entry.automaton.alphabet, predicate=entry.predicate, eq_depth=6, name=name
+        )
+        runs[name] = learn(teacher, LearnBudget(max_equivalence=20, max_length=5))
+    return runs
 
 
 # -- random symbolic automata --------------------------------------------

@@ -1,15 +1,14 @@
 """Acceptance suite: one test per criterion, at the stated tolerances.
 
-Learning runs are shared through a session fixture because several
-criteria inspect the same runs (success, query bound, table agreement).
+Learning runs are shared through session fixtures (in conftest, where
+the fingerprint tests read them too) because several criteria inspect
+the same runs (success, query bound, table agreement).
 A one-line PASS/FAIL report per criterion is printed by the hook in
 conftest.
 """
 
 import random
 import time
-
-import pytest
 
 from nomres.orbits import (
     AlphabetSpec,
@@ -27,14 +26,13 @@ from nomres.automaton import (
     run_frontier,
     universal_automaton,
 )
-from nomres.learner import LearnBudget, learn
 from nomres.rows import is_generated_by, is_join_irreducible, join_below, row_eq
 from nomres.rows import in_family_orbit
-from nomres.teacher import for_corpus, for_language
 from nomres import corpus
 
 from conftest import (
     LATTICE_UNIVERSE,
+    SUCCESS_TARGETS,
     brute_generated,
     brute_join_irreducible,
     bounded_universal,
@@ -49,41 +47,7 @@ from conftest import (
 
 ALL_ENTRIES = ["Ld", "Lngr", "Ln", "Lr", "Lng", "Compress", "Ak:1", "Ak:2", "Ak:3"]
 
-# (name, equivalence depth, length budget); depths per the criteria:
-# at least 6 for Ld and Compress, at least 2k+1 for Ak(k)
-SUCCESS_TARGETS = [
-    ("Ld", 6, 4),
-    ("Lngr", 5, 4),
-    ("Lr", 5, 4),
-    ("Compress", 6, 4),
-    ("Ak:1", 3, 3),
-    ("Ak:2", 5, 4),
-    ("Ak:3", 7, 5),
-]
-
 PINNED_ORBITS = {"Compress": 2, "Ld": 3, "Ak:1": 2, "Ak:2": 2, "Ak:3": 2}
-
-
-@pytest.fixture(scope="session")
-def learning_runs():
-    runs = {}
-    for name, depth, max_l in SUCCESS_TARGETS:
-        teacher = for_corpus(name, eq_depth=depth)
-        result = learn(teacher, LearnBudget(max_equivalence=40, max_length=max_l))
-        runs[name] = (result, depth)
-    return runs
-
-
-@pytest.fixture(scope="session")
-def divergence_runs():
-    runs = {}
-    for name in ("Ln", "Lng"):
-        entry = corpus.get(name)
-        teacher = for_language(
-            entry.automaton.alphabet, predicate=entry.predicate, eq_depth=6, name=name
-        )
-        runs[name] = learn(teacher, LearnBudget(max_equivalence=20, max_length=5))
-    return runs
 
 
 def test_criterion_1_corpus_agreement():

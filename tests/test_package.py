@@ -152,3 +152,49 @@ def _dead_private_code(paths):
 def test_no_dead_private_code():
     # a memo whose reads went but whose reset stayed is dead code too
     assert _dead_private_code(sorted((ROOT / "src").rglob("*.py"))) == []
+
+
+def _cache_decorators(tree):
+    """(function, decorator name, decorator node) for every decorator
+    of a function that is named ``lru_cache`` or ``cache``, bare or from
+    ``functools``."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for deco in node.decorator_list:
+            target = deco.func if isinstance(deco, ast.Call) else deco
+            name = getattr(target, "id", getattr(target, "attr", None))
+            if name in ("lru_cache", "cache"):
+                yield node, name, deco
+
+
+def _unbounded_caches(path):
+    """Functions of one file whose cache can grow for the whole life of
+    the process: an ``lru_cache`` without an integer ``maxsize``, or a
+    ``cache`` on a function that takes parameters."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for func, name, deco in _cache_decorators(tree):
+        if name == "lru_cache":
+            sizes = [kw.value for kw in getattr(deco, "keywords", ()) if kw.arg == "maxsize"]
+            sizes += getattr(deco, "args", [])[:1]
+            bounded = any(
+                isinstance(size, ast.Constant) and type(size.value) is int
+                for size in sizes
+            )
+        else:
+            a = func.args
+            bounded = not (a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg)
+        if not bounded:
+            found.append(func.name)
+    return found
+
+
+def test_module_caches_are_bounded():
+    # a module-level cache outlives every table and teacher that filled it
+    unbounded = {
+        str(path.relative_to(ROOT)): names
+        for path in sorted((ROOT / "src" / "nomres").glob("*.py"))
+        if (names := _unbounded_caches(path))
+    }
+    assert unbounded == {}

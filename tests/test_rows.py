@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nomres.orbits import EMPTY_WORD, parse_word
+from nomres.orbits import EMPTY_WORD, canonicalize, parse_word, partial_injections
 from nomres.rows import (
     ColumnError,
     ColumnSet,
@@ -14,6 +14,7 @@ from nomres.rows import (
     is_generated_by,
     is_join_irreducible,
     join_below,
+    placed_leq,
     row_eq,
     row_leq,
 )
@@ -471,3 +472,115 @@ class TestBruteForceOracleTwoAtomColumns:
                 concretize_row(target, cols, self.UNIVERSE)[0], closure
             )
             assert is_generated_by(target, family) == expected
+
+
+def reference_shapes(cs, n):
+    """(column orbit, shape) of each instance of the basis of range(n),
+    in basis order: a shape gives each distinct atom, or -1 for one
+    outside range(n)."""
+    number = {pattern: p for p, pattern in enumerate(cs)}
+    return [
+        (number[canonicalize(e)],
+         tuple(a if a < n else -1 for a in dict.fromkeys(e.atoms())))
+        for e in cs.instances(range(n))
+    ]
+
+
+def reference_placement_map(cs, n1, n2, pattern):
+    """The placement map read off the whole basis of the joint support:
+    each joint instance relates its placed and its target projection."""
+    landing = dict(pattern)
+    m = n2
+    for i in range(n1):
+        if i not in landing:
+            landing[i] = m
+            m += 1
+    inv = {b: i for i, b in landing.items()}
+    own = {s: k for k, s in enumerate(reference_shapes(cs, n1))}
+    index = {s: k for k, s in enumerate(reference_shapes(cs, n2))}
+    up = [0] * len(own)
+    down = [0] * len(index)
+    for p, shape in reference_shapes(cs, m):
+        i = own[(p, tuple(inv.get(x, -1) for x in shape))]
+        j = index[(p, tuple(x if x < n2 else -1 for x in shape))]
+        up[i] |= 1 << j
+        down[j] |= 1 << i
+    return tuple(up), tuple(down)
+
+
+def spread_bits(bits, up):
+    out = 0
+    for i, mask in enumerate(up):
+        if bits >> i & 1:
+            out |= mask
+    return out
+
+
+def placed_pairs(rows):
+    """Every (r1, r2, pattern, equal) over ``rows``, with its verdict
+    read off the reference placement map."""
+    cs = rows[0].columns
+    references = {}
+    for r1, r2 in itertools.product(rows, repeat=2):
+        n1, n2 = len(r1.support), len(r2.support)
+        for inj in partial_injections(range(n1), range(n2)):
+            pattern = tuple(inj.items())
+            key = (n1, n2, pattern)
+            if key not in references:
+                references[key] = reference_placement_map(cs, *key)
+            up, down = references[key]
+            below = not spread_bits(r1.bits, up) & ~r2.bits
+            above = not spread_bits(r2.bits, down) & ~r1.bits
+            yield r1, r2, pattern, False, below
+            yield r1, r2, pattern, True, below and above
+
+
+PLACEMENT_COLUMNS = [
+    lattice_columns,
+    lambda: columns_upto("a(0) a(1)"),
+    lambda: columns_upto("a(0) a(1) a(0)"),
+]
+PLACEMENT_IDS = ["lattice", "a0-a1", "a0-a1-a0"]
+
+
+class TestPlacementMaps:
+    """Flat maps assembled from column-block maps, and verdicts walked
+    block by block, against the joint-basis construction."""
+
+    @pytest.mark.parametrize("columns", PLACEMENT_COLUMNS, ids=PLACEMENT_IDS)
+    def test_assembled_maps_match_reference(self, columns):
+        cs = columns()
+        for n1, n2 in itertools.product(range(4), repeat=2):
+            for inj in partial_injections(range(n1), range(n2)):
+                pattern = tuple(inj.items())
+                assert cs.placement_map(n1, n2, pattern) == reference_placement_map(
+                    cs, n1, n2, pattern
+                ), (n1, n2, pattern)
+
+    @pytest.mark.parametrize("columns", PLACEMENT_COLUMNS, ids=PLACEMENT_IDS)
+    def test_block_walk_agrees_with_flat_map(self, columns):
+        cs = columns()
+        rng = random.Random(43)
+        rows = [wide_random_row(rng, cs) for _ in range(14)]
+        for r1, r2, pattern, equal, expected in placed_pairs(rows):
+            cs._maps.clear()
+            assert placed_leq(r1, r2, pattern, equal) == expected  # block walk
+            cs.placement_map(len(r1.support), len(r2.support), pattern)
+            assert placed_leq(r1, r2, pattern, equal) == expected  # flat map
+
+    def test_add_clears_flat_maps_and_keeps_block_maps(self):
+        cs = columns_upto("a(0) a(1)")
+        rng = random.Random(47)
+        rows = [wide_random_row(rng, cs) for _ in range(10)]
+        for r1, r2 in itertools.product(rows, repeat=2):
+            row_leq(r1, r2)
+            row_eq(r1, r2)
+        assert cs._maps and cs._layouts and cs._block_maps
+        kept = dict(cs._block_maps)
+        cs.add(parse_word("a(0) a(0) a(1)"))
+        assert not cs._maps and not cs._layouts
+        assert cs._block_maps.keys() == kept.keys()
+        assert all(cs._block_maps[key] is maps for key, maps in kept.items())
+        rows = [wide_random_row(rng, cs) for _ in range(10)]
+        for r1, r2, pattern, equal, expected in placed_pairs(rows):
+            assert placed_leq(r1, r2, pattern, equal) == expected
