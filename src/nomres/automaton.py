@@ -15,7 +15,8 @@ a guess takes an atom already read or a new marker.  When a letter
 brings an atom for the first time, the atom resolves the marker of the
 register a transition line compares it with, or no marker at all.
 Markers are renumbered -1, -2, ... in slot order, so each configuration
-has one canonical form.
+has one canonical form, and a frontier holds at most
+|states| * (atoms read + 2) ** (largest dimension) configurations.
 
 A run along one word (`accepts`, `run_frontier`) also knows the rest of
 the word: a read atom that does not occur again is demoted to None,
@@ -43,10 +44,6 @@ class AutomatonFormatError(ValueError):
 
 
 class AlphabetMismatchError(ValueError):
-    pass
-
-
-class SimulationLimitError(RuntimeError):
     pass
 
 
@@ -183,20 +180,20 @@ class SymbolicAutomaton:
         self.initial = frozenset(initial)
         self.final = frozenset(final)
         self.transitions = tuple(transitions)
-        self._by_name = {q.name: q for q in self.states}
         self._validate()
         self._compiled = None
 
     def _validate(self):
-        if len(self._by_name) != len(self.states):
+        by_name = {q.name: q for q in self.states}
+        if len(by_name) != len(self.states):
             raise AutomatonFormatError("duplicate state name")
         for group, label in ((self.initial, "initial"), (self.final, "final")):
             for name in group:
-                if name not in self._by_name:
+                if name not in by_name:
                     raise AutomatonFormatError(f"unknown {label} state {name!r}")
         for t in self.transitions:
             for name, vars_ in ((t.src, t.src_vars), (t.dst, t.dst_vars)):
-                q = self._by_name.get(name)
+                q = by_name.get(name)
                 if q is None:
                     raise AutomatonFormatError(f"unknown state {name!r} in transition")
                 if len(vars_) != q.dimension:
@@ -213,9 +210,6 @@ class SymbolicAutomaton:
                 raise AutomatonFormatError(
                     f"tag {t.letter_tag!r} has arity {self.alphabet.arity(t.letter_tag)}"
                 )
-
-    def state(self, name) -> StateOrbit:
-        return self._by_name[name]
 
     def compiled(self):
         """The compiled lines, as {tag: {source state: lines}}."""
@@ -261,6 +255,28 @@ def _parse_spec(token, line_no):
     return name, vars_
 
 
+# The largest state dimension and constructor arity a file may declare.
+# Work grows with them much faster than with the file's length:
+# `universal` and `anchor --top` list every letter orbit of a
+# constructor, Bell(arity) of them (Bell(8) = 4,140; Bell(12) =
+# 4,213,597), and a frontier may hold (atoms read + 2) ** dimension
+# configurations per state orbit.  The paper's automata need at most 3.
+MAX_DIMENSION = 8
+
+
+def _dimension(token, what, line_no):
+    """A declared state dimension or arity: an int from 0 to MAX_DIMENSION."""
+    try:
+        n = int(token)
+    except ValueError:
+        raise AutomatonFormatError(f"{what} must be an int", line_no) from None
+    if not 0 <= n <= MAX_DIMENSION:
+        raise AutomatonFormatError(
+            f"{what} must be 0 to {MAX_DIMENSION}, got {n}", line_no
+        )
+    return n
+
+
 def parse(text: str) -> SymbolicAutomaton:
     """Parse the line-based automaton format (see `render` for the shape)."""
     constructors = []
@@ -277,17 +293,13 @@ def parse(text: str) -> SymbolicAutomaton:
         if kind == "alphabet":
             if len(args) != 2:
                 raise AutomatonFormatError("alphabet takes: tag arity", line_no)
-            try:
-                constructors.append((args[0], int(args[1])))
-            except ValueError:
-                raise AutomatonFormatError("arity must be an int", line_no) from None
+            constructors.append((args[0], _dimension(args[1], "arity", line_no)))
         elif kind == "state":
             if len(args) != 2:
                 raise AutomatonFormatError("state takes: name dimension", line_no)
-            try:
-                states.append(StateOrbit(args[0], int(args[1])))
-            except ValueError:
-                raise AutomatonFormatError("bad state dimension", line_no) from None
+            states.append(
+                StateOrbit(args[0], _dimension(args[1], "state dimension", line_no))
+            )
         elif kind == "initial":
             initial.extend(args)
         elif kind == "final":
@@ -357,7 +369,7 @@ def _canon(regs, keep):
     return tuple(out)
 
 
-def _step(aut, frontier, letter, fresh, keep, limit):
+def _step(aut, frontier, letter, fresh, keep):
     """The canonical configurations after reading one letter, as a
     frozenset.
 
@@ -377,8 +389,6 @@ def _step(aut, frontier, letter, fresh, keep, limit):
             if src is not None:
                 for dst in cl.successors(src, atoms, keep):
                     nxt.add((cl.dst, _canon(dst, keep)))
-    if len(nxt) > limit:
-        raise SimulationLimitError(f"configuration frontier exceeded {limit} entries")
     return frozenset(nxt)
 
 
@@ -388,25 +398,18 @@ def _initial_frontier(aut):
     )
 
 
-def _frontier_limit(aut, distinct):
-    """A frontier over this many read atoms cannot be larger."""
-    max_dim = max((q.dimension for q in aut.states), default=0)
-    return max(1, len(aut.states)) * (distinct + max_dim + 1) ** max_dim
-
-
 def _run(aut, w):
     """The frontier after w.  Knowing the rest of the word, each step
     demotes the atoms that do not occur again."""
     rest = [frozenset()] * (len(w) + 1)
     for i in range(len(w) - 1, -1, -1):
         rest[i] = rest[i + 1] | frozenset(w[i].atoms)
-    limit = _frontier_limit(aut, len(rest[0]))
     frontier = _initial_frontier(aut)
     read = set()
     for i, letter in enumerate(w):
         fresh = [a for a in letter.atoms if a not in read]
         read.update(fresh)
-        frontier = _step(aut, frontier, letter, fresh, read & rest[i + 1], limit)
+        frontier = _step(aut, frontier, letter, fresh, read & rest[i + 1])
     return frontier
 
 
@@ -439,7 +442,6 @@ def accepts_each(aut: SymbolicAutomaton, words):
     call, in a memo that ends with the call.
     """
     depth = len(words[-1]) if words else 0
-    limit = _frontier_limit(aut, depth * aut.alphabet.dimension)
     steps = {}  # (prefix frontier, letter, atoms the prefix read) -> frontier
     prev, cur, length = {}, {}, 0
     for w in words:
@@ -454,9 +456,7 @@ def accepts_each(aut: SymbolicAutomaton, words):
             read += len(set(fresh))
             frontier = steps.get(key)
             if frontier is None:
-                frontier = steps[key] = _step(
-                    aut, prefix, letter, fresh, range(read), limit
-                )
+                frontier = steps[key] = _step(aut, prefix, letter, fresh, range(read))
         else:
             frontier, read = _initial_frontier(aut), 0
         if length < depth:

@@ -1,7 +1,11 @@
 """Command-line surface for scripted experiments.
 
 Exit codes: 0 = accept/true/success, 1 = reject/false/diverged,
-2 = usage or format error.
+2 = usage or format error.  A call whose work cannot stay bounded is
+refused with exit 2 before it starts: `orbits` when its numbers could
+not be printed, `learn` when its equivalence depth needs more than
+MAX_EQUIVALENCE_ORBITS word orbits.  Files and built-in names are
+bounded by MAX_DIMENSION (see `automaton.parse`).
 
 `main(argv)` may be called any number of times in one process; the
 argument parser is built on the first call and reused after it.
@@ -12,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from .orbits import (
@@ -22,7 +27,6 @@ from .orbits import (
 )
 from .automaton import (
     AutomatonFormatError,
-    SimulationLimitError,
     accepts,
     anchor,
     anchor_top,
@@ -37,6 +41,13 @@ from . import corpus
 
 class UsageError(Exception):
     pass
+
+
+# The most word orbits `learn` enumerates for one equivalence query:
+# about twice the largest query of the acceptance runs (Ak:3 at depth 7,
+# 127,203 orbits, about 1 s on a 2-vCPU machine).  The default depth for
+# a file target, --max-l + 1 = 9, needs 12,014,307 on Ak's alphabet.
+MAX_EQUIVALENCE_ORBITS = 250_000
 
 
 def _load_target(spec: str):
@@ -92,11 +103,45 @@ def _cmd_anchor(args) -> int:
     return 0
 
 
+def _digits_bound(alphabet, max_len):
+    """An upper bound on log10 of every number `orbits` prints, from
+    floats alone.
+
+    With k = max_len * dimension, the largest is the count or p(k).
+    p(k) = k! * sum_j C(k, j) / j! <= k! * sum_j k^j / j!^2, which is at
+    most k! * (sum_j sqrt(k)^j / j!)^2 = k! * e^(2 sqrt k).  The count is
+    at most (max_len + 1) * tags^max_len tag sequences times Bell(k), and
+    Bell(k) < (0.792 k / ln(k + 1))^k for k >= 1 (Berend and Tassa, 2010).
+    """
+    k = max_len * alphabet.dimension
+    log_p = (math.lgamma(k + 1) + 2 * math.sqrt(k)) / math.log(10)
+    log_bell = k * math.log10(0.792 * k / math.log(k + 1)) if k else 0.0
+    log_count = (
+        math.log10(max_len + 1)
+        + max_len * math.log10(len(alphabet.constructors))
+        + log_bell
+    )
+    return max(log_p, log_count)
+
+
 def _cmd_orbits(args) -> int:
     if args.alphabet:
         alphabet = _read_automaton(args.alphabet).alphabet
     else:
         alphabet = DEFAULT_ALPHABET
+    # Refuse before any big-int arithmetic: a number N prints with
+    # floor(log10 N) + 1 digits, and 0 digits means no maximum (as on
+    # interpreters that predate it).  A length above the maximum is
+    # refused outright: with an atom in the alphabet p(max_len) alone is
+    # longer, and without one counting still takes a step per length.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits and args.max_len >= 0 and (
+        args.max_len > digits or _digits_bound(alphabet, args.max_len) >= digits
+    ):
+        raise UsageError(
+            f"--max-len {args.max_len} is too large: the output could exceed "
+            f"the interpreter's maximum of {digits} digits per printed number"
+        )
     print(count_word_orbits(alphabet, args.max_len))
     print("k p(k)")
     for k in range(args.max_len * alphabet.dimension + 1):
@@ -116,6 +161,13 @@ def _cmd_learn(args) -> int:
     else:
         teacher = for_language(
             target.alphabet, automaton=target, eq_depth=eq_depth
+        )
+    depth = teacher.equivalence.depth
+    orbits = count_word_orbits(teacher.alphabet, depth, MAX_EQUIVALENCE_ORBITS)
+    if orbits > MAX_EQUIVALENCE_ORBITS:
+        raise UsageError(
+            f"equivalence depth {depth} needs more than "
+            f"{MAX_EQUIVALENCE_ORBITS:,} word orbits; pass a smaller --eq-depth"
         )
     budget = LearnBudget(max_equivalence=args.max_eq, max_length=args.max_l)
     if args.trace:
@@ -219,8 +271,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (UsageError, AutomatonFormatError, ValueError, OSError,
-            SimulationLimitError) as e:
+    except (UsageError, AutomatonFormatError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

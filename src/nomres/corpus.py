@@ -11,7 +11,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .orbits import Word
-from .automaton import SymbolicAutomaton, StateOrbit, TransitionLine, parse
+from .automaton import (
+    MAX_DIMENSION, StateOrbit, SymbolicAutomaton, TransitionLine, parse,
+)
 from .orbits import AlphabetSpec
 
 
@@ -262,7 +264,10 @@ _FIXED = {
 
 
 def get(name: str) -> CorpusEntry:
-    """Look up a corpus entry; 'Ak:3' selects the anchored family at k=3."""
+    """Look up a corpus entry; 'Ak:3' selects the anchored family at k=3.
+
+    k is at most MAX_DIMENSION, so that every entry exports to a file
+    that `parse` reads back."""
     if name in _FIXED:
         return _FIXED[name]
     if name == "Ak" or name.startswith("Ak:"):
@@ -273,8 +278,8 @@ def get(name: str) -> CorpusEntry:
             k = int(parts[1])
         except ValueError:
             raise KeyError(f"bad Ak parameter {parts[1]!r}") from None
-        if k < 1:
-            raise KeyError("Ak requires k >= 1")
+        if not 1 <= k <= MAX_DIMENSION:
+            raise KeyError(f"Ak requires 1 <= k <= {MAX_DIMENSION}")
         return CorpusEntry(
             name, _ak_automaton(k), _ak_predicate(k),
             residual=True, char_length=k, canonical_orbits=2,

@@ -277,12 +277,15 @@ def enumerate_word_orbits(alphabet: AlphabetSpec, max_len: int):
     return _word_orbits(alphabet, max_len)
 
 
-def count_word_orbits(alphabet: AlphabetSpec, max_len: int) -> int:
+def count_word_orbits(alphabet: AlphabetSpec, max_len: int, stop_above=None) -> int:
     """``len(enumerate_word_orbits(alphabet, max_len))``, without the words.
 
     A tag sequence with total arity k has Bell(k) equality patterns, so
     the count is the sum of Bell(total arity) over tag sequences of
-    length <= max_len.
+    length <= max_len.  With stop_above, counting ends at the first
+    length that takes the count above it, and that partial count is
+    returned: comparing against a bound costs little however large
+    max_len is.
     """
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
@@ -290,21 +293,23 @@ def count_word_orbits(alphabet: AlphabetSpec, max_len: int) -> int:
     # entry of the row before, and row k starts with Bell(k)
     bell = [1]
     row = [1]
-    for _ in range(max_len * alphabet.dimension):
-        nxt = [row[-1]]
-        for x in row:
-            nxt.append(nxt[-1] + x)
-        row = nxt
-        bell.append(row[0])
     # sequences[k]: tag sequences of the current length with total arity k
     sequences = {0: 1}
     total = 1
     for _ in range(max_len):
+        if stop_above is not None and total > stop_above:
+            break
         longer = {}
         for k, n in sequences.items():
             for _, arity in alphabet.constructors:
                 longer[k + arity] = longer.get(k + arity, 0) + n
         sequences = longer
+        while len(bell) <= max(sequences):
+            nxt = [row[-1]]
+            for x in row:
+                nxt.append(nxt[-1] + x)
+            row = nxt
+            bell.append(row[0])
         total += sum(n * bell[k] for k, n in sequences.items())
     return total
 

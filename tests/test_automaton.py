@@ -76,6 +76,25 @@ class TestTextFormat:
         with pytest.raises(AutomatonFormatError):
             parse("alphabet a 1\nstate q 1\ntrans q a(x) q(x)\n")
 
+    def test_dimension_and_arity_are_bounded(self):
+        top = automaton.MAX_DIMENSION
+        aut = parse(f"alphabet a {top}\nstate q {top}\ninitial q\n")
+        assert aut.alphabet.dimension == aut.states[0].dimension == top
+        for text in (f"alphabet a {top + 1}\nstate q 0\n",
+                     f"alphabet a 1\nstate q {top + 1}\n",
+                     "alphabet a 1\nstate q -1\n",
+                     "alphabet a -1\nstate q 0\n"):
+            with pytest.raises(AutomatonFormatError, match="must be 0 to"):
+                parse(text)
+
+    def test_corpus_and_anchored_automata_round_trip(self):
+        names = ["Ld", "Lngr", "Ln", "Lr", "Lng", "Compress", "Ak:1", "Ak:2", "Ak:3",
+                 f"Ak:{automaton.MAX_DIMENSION}"]
+        for name in names:
+            aut = corpus.get(name).automaton
+            for a in (aut, anchor(aut), anchor_top(aut)):
+                assert parse(render(a)) == a
+
     def test_comments_and_blank_lines(self):
         aut = parse("# header\nalphabet a 1\n\nstate q 0  # trailing\ninitial q\n")
         assert aut.states == (StateOrbit("q", 0),)
@@ -155,11 +174,29 @@ class TestWalk:
 
     @staticmethod
     def assert_walk_agrees(aut, depth):
+        """The walk and the per-word runs agree, and no step of either
+        makes a frontier larger than canonical form allows: each register
+        holds a kept read atom, None or the marker its slot order fixes,
+        so at most |states| * (kept atoms + 2) ** (largest dimension)
+        entries."""
+        max_dim = max((q.dimension for q in aut.states), default=0)
+        step = automaton._step
+        sizes = []
+
+        def bounded(aut_, frontier, letter, fresh, keep):
+            nxt = step(aut_, frontier, letter, fresh, keep)
+            sizes.append(len(nxt))
+            assert len(nxt) <= len(aut.states) * (len(keep) + 2) ** max_dim
+            return nxt
+
         words = enumerate_word_orbits(aut.alphabet, depth)
-        walked = list(accepts_each(aut, words))
-        assert len(walked) == len(words)
-        for w, verdict in zip(words, walked):
-            assert verdict == accepts(aut, w), w.render()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(automaton, "_step", bounded)
+            walked = list(accepts_each(aut, words))
+            assert len(walked) == len(words)
+            for w, verdict in zip(words, walked):
+                assert verdict == accepts(aut, w), w.render()
+        assert sizes
 
     @pytest.mark.parametrize(
         "name", ["Ld", "Lngr", "Ln", "Lr", "Lng", "Compress", "Ak:1", "Ak:2", "Ak:3"]
@@ -178,9 +215,9 @@ class TestWalk:
         keys = []
         step = automaton._step
 
-        def spy(aut, frontier, letter, fresh, keep, limit):
+        def spy(aut, frontier, letter, fresh, keep):
             keys.append((frontier, letter, len(keep) - len(set(fresh))))
-            return step(aut, frontier, letter, fresh, keep, limit)
+            return step(aut, frontier, letter, fresh, keep)
 
         monkeypatch.setattr(automaton, "_step", spy)
         aut = corpus.get("Ak:3").automaton

@@ -1,18 +1,40 @@
 import argparse
 import json
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from nomres import cli
 from nomres.cli import main
-from nomres.automaton import SimulationLimitError, parse, accepts, render
-from nomres.orbits import enumerate_word_orbits
+from nomres.automaton import MAX_DIMENSION, parse, accepts, render
+from nomres.orbits import (
+    AlphabetSpec,
+    count_partial_permutations,
+    count_word_orbits,
+    enumerate_word_orbits,
+)
 from nomres import corpus
+
+from conftest import SUCCESS_TARGETS, random_automaton
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def is_usage_error(code, out, err):
+    """Exit 2, nothing on stdout, and one `error:` line on stderr."""
+    lines = err.splitlines()
+    return code == 2 and out == "" and len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestMember:
@@ -41,15 +63,6 @@ class TestMember:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "member", "/nonexistent.aut", "eps")
         assert code == 2
-
-    def test_simulation_limit_is_an_error(self, capsys, monkeypatch):
-        def over_limit(aut, w):
-            raise SimulationLimitError("configuration frontier exceeded 1 entries")
-
-        monkeypatch.setattr(cli, "accepts", over_limit)
-        code, _, err = run(capsys, "member", "builtin:Ld", "eps")
-        assert code == 2
-        assert err.strip() == "error: configuration frontier exceeded 1 entries"
 
 
 class TestUniversal:
@@ -305,3 +318,201 @@ class TestParserReuse:
         assert code == 0 and out.startswith("usage: nomres")
         code, out, _ = run(capsys, "member", "builtin:Ld", "a(1) a(1)")
         assert code == 0 and out.strip() == "accept"
+
+
+class TestBoundedWork:
+    """A call whose work would not stay bounded exits 2 before it starts."""
+
+    @pytest.mark.parametrize(
+        "text,argv",
+        [
+            ("alphabet a 1\nstate q0 1000000000000\ninitial q0\n",
+             ("member", "{file}", "a(1)")),
+            ("alphabet a 1000000000000\nstate q 0\ninitial q\nfinal q\n",
+             ("universal", "{file}", "--assume-residual")),
+            ("alphabet a 1000000000000\n", ("orbits", "--alphabet", "{file}")),
+            ("", ("member", "builtin:Ak:1000000000", "eps")),
+            ("", ("learn", "--target", "builtin:Ak:2", "--eq-depth", str(10**30))),
+        ],
+        ids=["dimension", "arity-universal", "arity-orbits", "builtin-Ak", "eq-depth"],
+    )
+    def test_huge_values_are_refused(self, tmp_path, text, argv):
+        # in a child process, so that a regression fails on the timeout
+        # instead of hanging the suite
+        path = tmp_path / "huge.aut"
+        path.write_text(text)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "nomres.cli",
+             *(a.format(file=path) for a in argv)],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert is_usage_error(proc.returncode, proc.stdout, proc.stderr), proc.stderr
+
+    def test_learn_refuses_deep_equivalence_checks(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("learn started")
+
+        monkeypatch.setattr(cli, "learn", never)
+        path = tmp_path / "ak2.aut"
+        path.write_text(render(corpus.get("Ak:2").automaton))
+        # without --eq-depth a file target is checked to --max-l + 1 = 9
+        assert count_word_orbits(corpus.get("Ak:2").automaton.alphabet, 9) == 12_014_307
+        for extra in ((), ("--eq-depth", "8")):
+            assert is_usage_error(*run(capsys, "learn", "--target", str(path), *extra))
+        # a built-in target's default depth, 2k + 1 = 11
+        assert is_usage_error(*run(capsys, "learn", "--target", "builtin:Ak:5"))
+
+    def test_learn_admits_the_acceptance_depths(self, monkeypatch):
+        class Started(Exception):
+            pass
+
+        def started(teacher, budget, **kwargs):
+            raise Started(teacher.equivalence.depth)
+
+        monkeypatch.setattr(cli, "learn", started)
+        alphabet = corpus.get("Ak:3").automaton.alphabet
+        assert count_word_orbits(alphabet, 7) == 127_203 <= cli.MAX_EQUIVALENCE_ORBITS
+        for name, depth, max_l in SUCCESS_TARGETS:
+            argv = ["learn", "--target", f"builtin:{name}", "--eq-depth", str(depth),
+                    "--max-l", str(max_l)]
+            with pytest.raises(Started) as reached:
+                main(argv)
+            assert reached.value.args == (depth,)
+
+    def test_orbits_refuses_before_counting(self, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("counted")
+
+        monkeypatch.setattr(cli, "count_word_orbits", never)
+        monkeypatch.setattr(cli, "count_partial_permutations", never)
+        for n in ("1600", str(10**30)):
+            assert is_usage_error(*run(capsys, "orbits", "--max-len", n))
+
+    def test_orbits_refuses_from_the_first_unprintable_length(self, capsys):
+        # at the least digit limit the interpreter allows, p(305) is the
+        # first number of the output with more digits than the limit
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, _ = run(capsys, "orbits", "--max-len", "304")
+            assert code == 0 and out.splitlines()[-1].startswith("304 ")
+            assert is_usage_error(*run(capsys, "orbits", "--max-len", "305"))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(str(count_partial_permutations(305))) == 641
+
+    @pytest.mark.parametrize(
+        "constructors",
+        [[("a", 1)], [("a", 1), ("anc", 1)], [("a", 1), ("b", 2)], [("c", 0)],
+         [("c", 0), ("d", 0), ("e", 0)], [("f", 3), ("c", 0)]],
+    )
+    def test_digit_bound_holds(self, constructors):
+        alphabet = AlphabetSpec(constructors)
+        for n in range(40):
+            largest = max(
+                count_word_orbits(alphabet, n),
+                count_partial_permutations(n * alphabet.dimension),
+            )
+            assert math.log10(largest) <= cli._digits_bound(alphabet, n)
+
+    def test_bench_orbits_call_is_unaffected(self, tmp_path, capsys):
+        path = tmp_path / "ak3.aut"
+        path.write_text(render(corpus.get("Ak:3").automaton))
+        code, out, _ = run(capsys, "orbits", "--max-len", "7", "--alphabet", str(path))
+        assert code == 0 and out.splitlines()[0] == "127203"
+
+
+HUGE = "9" * 5000  # past the interpreter's int-to-str digit limit
+# the refusal of values far above MAX_DIMENSION is tested in a child
+# process (TestBoundedWork), where a regression cannot hang the suite
+BAD_COUNTS = ("-1", "x", "1.5", "0x1", "1_0", str(MAX_DIMENSION + 1), HUGE)
+
+
+def _malformed(rng, text, aut):
+    """One malformed variant of a rendered automaton."""
+    lines = text.splitlines()
+    q = aut.states[0]
+    regs = f"({','.join(f'r{i}' for i in range(q.dimension))})" if q.dimension else ""
+    kind = rng.choice(
+        ["truncate", "count", "tag", "letter-arity", "directive", "state",
+         "fields", "duplicate", "no-alphabet"]
+    )
+    if kind == "truncate":
+        # every proper prefix of these lines, as random_automaton names
+        # states and tags, is malformed: a field goes missing, a
+        # parenthesis stays open, or a name no longer resolves
+        i = rng.choice([i for i, l in enumerate(lines)
+                        if l.split()[0] in ("alphabet", "state", "trans")])
+        lines[i] = lines[i][: rng.randrange(1, len(lines[i]))]
+    elif kind == "count":
+        i = rng.choice([i for i, l in enumerate(lines)
+                        if l.split()[0] in ("alphabet", "state")])
+        lines[i] = " ".join(lines[i].split()[:2] + [rng.choice(BAD_COUNTS)])
+    elif kind == "tag":
+        lines.append(f"trans {q.name}{regs} zz {q.name}{regs}")
+    elif kind == "letter-arity":
+        lines.append(f"trans {q.name}{regs} a(y,z) {q.name}{regs}")
+    elif kind == "directive":
+        lines.insert(rng.randrange(len(lines) + 1), "frobnicate 1")
+    elif kind == "state":
+        lines.append(rng.choice(["initial", "final"]) + " nowhere")
+    elif kind == "fields":
+        lines.append(
+            rng.choice(["trans q0", "state q9", "alphabet zz", f"alphabet zz 1 {HUGE}"])
+        )
+    elif kind == "duplicate":
+        lines.append(rng.choice([l for l in lines if l.split()[0] in ("alphabet", "state")]))
+    else:
+        lines = [l for l in lines if not l.startswith("alphabet")]
+    return "\n".join(lines) + "\n"
+
+
+BAD_LETTERS = ("a(1", "a(", "a(1,", "zz(1)", "a(1,2)", "a", f"a({HUGE})", "a(-1)",
+               "a(x)", "!!", "a)1(")
+
+
+class TestExitCodeContract:
+    """Seeded fuzzing: a malformed file or word exits 2 with one `error:`
+    line and no traceback."""
+
+    def test_random_automata_round_trip(self):
+        rng = random.Random(7)
+        for _ in range(100):
+            aut = random_automaton(rng)
+            assert parse(render(aut)) == aut
+
+    def test_malformed_files(self, tmp_path, capsys):
+        rng = random.Random(11)
+        path = tmp_path / "bad.aut"
+        commands = [
+            ("member", str(path), "eps"),
+            ("universal", str(path), "--assume-residual"),
+            ("anchor", str(path), "-o", str(tmp_path / "out.aut")),
+            ("orbits", "--alphabet", str(path)),
+            ("learn", "--target", str(path), "--eq-depth", "2"),
+        ]
+        for _ in range(60):
+            aut = random_automaton(rng)
+            text = render(aut)
+            for _ in range(3):
+                bad = _malformed(rng, text, aut)
+                path.write_text(bad)
+                assert is_usage_error(*run(capsys, *rng.choice(commands))), bad
+        path.write_bytes(text.encode() + b"\xff\xfe")
+        assert is_usage_error(*run(capsys, "member", str(path), "eps"))
+        assert not (tmp_path / "out.aut").exists()
+
+    def test_malformed_words(self, tmp_path, capsys):
+        rng = random.Random(13)
+        path = tmp_path / "aut.aut"
+        for _ in range(20):
+            aut = random_automaton(rng)
+            path.write_text(render(aut))
+            for _ in range(3):
+                word = [f"a({rng.randrange(4)})" for _ in range(rng.randrange(4))]
+                word.insert(rng.randrange(len(word) + 1), rng.choice(BAD_LETTERS))
+                assert is_usage_error(*run(capsys, "member", str(path), " ".join(word)))

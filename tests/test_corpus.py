@@ -1,7 +1,7 @@
 import pytest
 
 from nomres.orbits import Letter, Word, enumerate_word_orbits, parse_word
-from nomres.automaton import accepts, anchor, parse
+from nomres.automaton import MAX_DIMENSION, accepts, anchor, parse
 from nomres import corpus
 
 # { a w | a not in w } plus the empty word.
@@ -32,6 +32,11 @@ class TestLookup:
             corpus.get("Ak:0")
         with pytest.raises(KeyError):
             corpus.get("Ak:x")
+
+    def test_ak_is_bounded_like_a_file(self):
+        # every entry exports to a file that parse reads back
+        with pytest.raises(KeyError):
+            corpus.get(f"Ak:{MAX_DIMENSION + 1}")
 
 
 class TestPredicates:

@@ -162,6 +162,20 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             count_word_orbits(alphabet, -1)
 
+    @pytest.mark.parametrize(
+        "constructors", [[("a", 1), ("anc", 1)], [("c", 0)]], ids=["a1-anc1", "c0"]
+    )
+    def test_count_stops_above(self, constructors):
+        # counting against a bound ends at the first length past it
+        alphabet = AlphabetSpec(constructors)
+        full = [count_word_orbits(alphabet, n) for n in range(12)]
+        for bound in (0, 5, 10):
+            first = next(n for n, count in enumerate(full) if count > bound)
+            for max_len in (first, first + 1, 200):
+                assert count_word_orbits(alphabet, max_len, bound) == full[first]
+            if first:
+                assert count_word_orbits(alphabet, first - 1, bound) == full[first - 1]
+
     def test_enumeration_cache_is_bounded(self):
         """The cache keeps a learning run's working set (S, S.Sigma and
         the equivalence depth) and no more, however many lengths are
