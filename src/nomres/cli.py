@@ -21,7 +21,6 @@ import sys
 
 from .orbits import (
     DEFAULT_ALPHABET,
-    count_partial_permutations,
     count_word_orbits,
     parse_word,
 )
@@ -70,6 +69,15 @@ def _target_automaton(spec: str):
     return target.automaton if isinstance(target, corpus.CorpusEntry) else target
 
 
+def _write(text: str, path):
+    """Write ``text`` to the file at ``path``, or to stdout without one."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_member(args) -> int:
     aut = _target_automaton(args.target)
     word = parse_word(args.word, aut.alphabet)
@@ -98,8 +106,7 @@ def _cmd_universal(args) -> int:
 def _cmd_anchor(args) -> int:
     aut = _target_automaton(args.target)
     out = anchor_top(aut) if args.top else anchor(aut)
-    with open(args.output, "w") as fh:
-        fh.write(render(out))
+    _write(render(out), args.output)
     return 0
 
 
@@ -144,8 +151,11 @@ def _cmd_orbits(args) -> int:
         )
     print(count_word_orbits(alphabet, args.max_len))
     print("k p(k)")
+    # p(k) = 2k p(k-1) - (k-1)^2 p(k-2): one step per row, from p(-1) = 0
+    p, before = 1, 0
     for k in range(args.max_len * alphabet.dimension + 1):
-        print(f"{k} {count_partial_permutations(k)}")
+        print(f"{k} {p}")
+        p, before = 2 * (k + 1) * p - k * k * before, p
     return 0
 
 
@@ -182,12 +192,7 @@ def _cmd_learn(args) -> int:
     if result.diverged:
         print("DIVERGED")
         return 1
-    text = render(result.hypothesis.automaton)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(render(result.hypothesis.automaton), args.output)
     return 0
 
 
@@ -198,12 +203,7 @@ def _cmd_corpus(args) -> int:
         entry = corpus.get(args.name)
     except KeyError as e:
         raise UsageError(str(e)) from None
-    text = render(entry.automaton)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(render(entry.automaton), args.output)
     return 0
 
 

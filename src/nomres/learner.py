@@ -5,8 +5,11 @@ bound (it starts at {eps} and, when the table is not join-closed, jumps
 to include every word of the defect's length, which is what makes the
 loop find all characterising words eventually).  The column set E grows
 by orbits of suffixes, from consistency defects and counterexamples.
-Membership answers are memoized per canonical concatenation, so one
-query per word orbit suffices.
+
+Cell words are canonical by construction: a label's atoms are 0..k-1,
+and `split_into_a_orbits` numbers its columns' fresh atoms k, k+1, ...
+by first occurrence, so ``label + e`` is its orbit's canonical word.
+`answers` is keyed by it, and has one entry per membership query.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from typing import Optional
 from .orbits import (
     Word,
     EMPTY_WORD,
-    canonicalize,
     canonicalize_with_perm,
     enumerate_word_orbits,
     letter_patterns,
@@ -71,7 +73,6 @@ class ObservationTable:
         self.answers = {}
         self._rows = {}
         self._filled_at = None
-        self._concat_keys = {}
         self._fill_caches()
 
     def _fill_caches(self):
@@ -91,25 +92,15 @@ class ObservationTable:
 
     # -- filling --------------------------------------------------------
 
-    def _concat_key(self, label, e):
-        key = self._concat_keys.get((label, e))
-        if key is None:
-            key = canonicalize(label + e)
-            self._concat_keys[(label, e)] = key
-        return key
-
-    def _answer(self, oracle, label, e):
-        key = self._concat_key(label, e)
-        value = self.answers.get(key)
-        if value is None:
-            value = bool(oracle.member(key))
-            self.answers[key] = value
-        return value
+    def _answer(self, oracle, w):
+        if w not in self.answers:
+            self.answers[w] = bool(oracle.member(w))
+        return self.answers[w]
 
     def fill(self, oracle=None):
         """Build rows for every S u S.Sigma representative, querying once
-        per previously unseen canonical concatenation.  Raises `OutOfTime`
-        once the table's deadline has passed, leaving the table unfilled."""
+        per new cell word, which is canonical by construction.  Raises
+        `OutOfTime` once the deadline has passed, leaving it unfilled."""
         oracle = oracle or self.oracle
         if oracle is None:
             raise ValueError("no membership oracle")
@@ -122,7 +113,7 @@ class ObservationTable:
             rows[label] = Row.build(
                 label,
                 self.columns,
-                lambda e, label=label: self._answer(oracle, label, e),
+                lambda e, label=label: self._answer(oracle, label + e),
             )
         self._rows = rows
         self._filled_at = state
@@ -216,19 +207,17 @@ class ObservationTable:
 
         Labels share a class when they have as many atoms, the same
         least-support row, and, letter by letter in `_letters` order,
-        the same least-support extension rows, with atoms written as
-        positions in the label's sorted atoms followed by the letter's
-        fresh atoms.  Every consistency verdict on a label pair depends
-        only on the two classes and the placement.
+        the same least-support extension rows on the same atoms: labels
+        and their letters are canonical, so atoms need no re-indexing.
+        Every consistency verdict on a label pair depends only on the
+        two classes and the placement.
         """
-        atoms = sorted(frozenset(s.atoms()))
+        atoms = frozenset(s.atoms())
         r = self._rows[s].reduced()
-        key = [len(atoms), r.bits, tuple(map(atoms.index, r.support))]
-        for letter in self._letters(frozenset(atoms)):
-            joint = dict.fromkeys((*atoms, *letter.atoms))
-            at = {a: i for i, a in enumerate(joint)}
+        key = [len(atoms), r.bits, r.support]
+        for letter in self._letters(atoms):
             base, image = self._extension_pattern(s, letter)
-            key.append((base.bits, tuple(at[a] for a in image)))
+            key.append((base.bits, image))
         return tuple(key)
 
     def _ordered_pairs(self, labels):
@@ -323,7 +312,7 @@ class ObservationTable:
 
     def handle_counterexample(self, cex: Word):
         """Add the orbits of every suffix of the counterexample to E."""
-        self.columns.add(canonicalize(cex))
+        self.columns.add(cex)
         if self.oracle is not None:
             self.fill()
         return self
@@ -421,7 +410,7 @@ def hypothesis_agreement_violations(table: ObservationTable, hyp: Hypothesis):
     walks the prefix closure of the cells' canonical words, shortest
     first, in one `accepts_each` call."""
     cells = [
-        (s, e, table._concat_key(s, e))
+        (s, e, s + e)
         for s in table.s_labels()
         for e in table.columns.instances(s.atoms())
     ]
@@ -489,12 +478,11 @@ def learn(teacher, budget: LearnBudget = None, log=None) -> LearnResult:
     start = time.monotonic()
     deadline = None if budget.wall_time is None else start + budget.wall_time
     emit = log if log is not None else (lambda line: None)
-    queries_before = teacher.membership.query_count
     table = ObservationTable(teacher.alphabet, teacher.membership, deadline)
 
     def finish(hyp, reason=None):
         stats.final_l = table.length
-        stats.membership_queries = teacher.membership.query_count - queries_before
+        stats.membership_queries = len(table.answers)  # one query per cell word
         stats.wall_time = time.monotonic() - start
         stats.divergence_reason = reason
         emit("diverged" if hyp is None else "accepted")

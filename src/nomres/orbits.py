@@ -31,6 +31,9 @@ def fresh_atom(avoid) -> int:
     return max(avoid) + 1 if avoid else 0
 
 
+_TAG = r"[A-Za-z_][A-Za-z0-9_]*"  # a letter's tag, as `parse_word` reads it
+
+
 class AlphabetSpec:
     """A finite list of letter constructors ``tag(atom, ..., atom)``."""
 
@@ -44,6 +47,9 @@ class AlphabetSpec:
             raise ValueError("duplicate tag in alphabet")
         if any(a < 0 for _, a in ctors):
             raise ValueError("negative arity")
+        for t, _ in ctors:  # `parse_word` reads eps as the empty word
+            if t == "eps" or not re.fullmatch(_TAG, t):
+                raise ValueError(f"tag {t!r} cannot be written in a word")
         self.constructors = ctors
         self._arity = dict(ctors)
 
@@ -142,7 +148,7 @@ class Word(tuple):
 EMPTY_WORD = Word()
 
 
-_LETTER_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\(([^()]*)\))?$")
+_LETTER_RE = re.compile(rf"^({_TAG})(?:\(([^()]*)\))?$")
 
 
 def parse_word(text: str, alphabet: AlphabetSpec | None = None) -> Word:

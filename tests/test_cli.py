@@ -151,6 +151,16 @@ class TestOrbits:
         _, out2, _ = run(capsys, "orbits", "--max-len", "4")
         assert out1 == out2
 
+    def test_table_is_p_of_k(self, tmp_path, capsys):
+        # an arity-2 tag: the table runs to k = 2 * max-len
+        path = tmp_path / "ab.aut"
+        path.write_text("alphabet a 1\nalphabet b 2\nstate q 0\n")
+        code, out, _ = run(capsys, "orbits", "--alphabet", str(path), "--max-len", "40")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1] == "k p(k)"
+        assert lines[2:] == [f"{k} {count_partial_permutations(k)}" for k in range(81)]
+
 
 STATS_KEYS = {
     "membership_queries", "equivalence_queries", "closedness_rounds",
@@ -388,7 +398,6 @@ class TestBoundedWork:
             raise AssertionError("counted")
 
         monkeypatch.setattr(cli, "count_word_orbits", never)
-        monkeypatch.setattr(cli, "count_partial_permutations", never)
         for n in ("1600", str(10**30)):
             assert is_usage_error(*run(capsys, "orbits", "--max-len", n))
 
@@ -473,6 +482,26 @@ def _malformed(rng, text, aut):
 
 BAD_LETTERS = ("a(1", "a(", "a(1,", "zz(1)", "a(1,2)", "a", f"a({HUGE})", "a(-1)",
                "a(x)", "!!", "a)1(")
+
+
+class TestUnwritableTags:
+    """A tag that no word can write is refused when the alphabet is built:
+    `eps` reads as the empty word, and `parse_word` reads a tag as
+    [A-Za-z_][A-Za-z0-9_]*."""
+
+    @pytest.mark.parametrize("line", ["alphabet eps 0", "alphabet a(1) 1"])
+    def test_file_alphabet(self, tmp_path, capsys, line):
+        path = tmp_path / "bad.aut"
+        path.write_text(f"{line}\nstate q 0\ninitial q\nfinal q\n")
+        assert is_usage_error(*run(capsys, "member", str(path), "eps"))
+
+    @pytest.mark.parametrize("top", [(), ("--top",)], ids=["anchor", "top"])
+    def test_anchor_tag_from_a_state_name(self, tmp_path, capsys, top):
+        path = tmp_path / "q.aut"
+        path.write_text("alphabet a 1\nstate q-1 0\ninitial q-1\n")
+        out_path = tmp_path / "out.aut"
+        assert is_usage_error(*run(capsys, "anchor", str(path), *top, "-o", str(out_path)))
+        assert not out_path.exists()
 
 
 class TestExitCodeContract:

@@ -422,6 +422,71 @@ class TestExtensionClasses:
         assert t.find_consistency_defect() == _reference_defect(t)
 
 
+def _reindexed_extension_class(t, s):
+    """The extension class of a label of S with its atoms re-indexed:
+    written as positions in the label's sorted atoms followed by the
+    letter's fresh atoms.  On a canonical label every position is the
+    atom itself, which is why the table keys on the atoms as they are."""
+    atoms = sorted(frozenset(s.atoms()))
+    r = t.row(s).reduced()
+    key = [len(atoms), r.bits, tuple(map(atoms.index, r.support))]
+    for letter in t._letters(frozenset(atoms)):
+        joint = dict.fromkeys((*atoms, *letter.atoms))
+        at = {a: i for i, a in enumerate(joint)}
+        base, image = t._extension_pattern(s, letter)
+        key.append((base.bits, tuple(at[a] for a in image)))
+    return tuple(key)
+
+
+class TestCanonicalCells:
+    """Every cell word ``label + e`` is canonical as built, so the table
+    asks one membership query per new cell word and keys on atoms
+    without re-indexing them."""
+
+    @pytest.mark.parametrize(
+        "name, length, columns",
+        [("Ln", 4, ["a(0) a(0)"]), ("Ak:2", 2, ["a(0) a(0)"]),
+         ("Lng", 4, ["a(0) a(0) a(0) a(1)"])],
+    )
+    def test_extension_class_needs_no_reindexing(self, name, length, columns):
+        t = table_for(name, length=length, columns=columns)
+        for s in t.s_labels():
+            assert t._extension_class(s) == _reindexed_extension_class(t, s), s.render()
+
+    @pytest.mark.parametrize(
+        "name, eq_depth", [("Ak:2", 5), ("Lng", 6)], ids=["Ak:2", "Lng"]
+    )
+    def test_fill_asks_canonical_words_once(self, name, eq_depth, monkeypatch):
+        teacher = for_corpus(name, eq_depth=eq_depth)
+        asked = []
+        member = teacher.membership.member
+
+        def recording(w):
+            asked.append(w)
+            return member(w)
+
+        monkeypatch.setattr(teacher.membership, "member", recording)
+        tables = []
+        fill = ObservationTable.fill
+
+        def spy(self, oracle=None):
+            tables.append(self)
+            return fill(self, oracle)
+
+        monkeypatch.setattr(ObservationTable, "fill", spy)
+        before = teacher.membership.query_count
+        result = learn(teacher, LearnBudget(max_equivalence=20, max_length=4))
+        (table,) = set(tables)
+        assert table.length <= 4
+        assert asked and all(canonicalize(w) == w for w in asked)
+        assert (
+            result.stats.membership_queries
+            == len(table.answers)
+            == teacher.membership.query_count - before
+            == len(asked)
+        )
+
+
 class TestCounterexamples:
     def test_epsilon_is_noop(self):
         t = table_for("Ld")

@@ -71,6 +71,16 @@ class TestWordBasics:
             AlphabetSpec([("a", 1), ("a", 2)])
         assert ANC.dimension == 1
 
+    @pytest.mark.parametrize("tag", ["eps", "a(1)", "uq_q-1", "", "1a", "a b"])
+    def test_alphabet_refuses_tags_no_word_can_write(self, tag):
+        with pytest.raises(ValueError, match="cannot be written"):
+            AlphabetSpec([("a", 1), (tag, 1)])
+
+    def test_every_tag_reads_back(self):
+        alphabet = AlphabetSpec([("_", 0), ("uq_q0", 1), ("Eps", 2)])
+        w = parse_word("_ uq_q0(3) Eps(3,4)", alphabet)
+        assert parse_word(w.render(), alphabet) == w and len(w) == 3
+
 
 class TestTupleTypes:
     def test_letters_and_words_are_immutable(self):
