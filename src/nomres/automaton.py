@@ -80,10 +80,9 @@ class TransitionLine:
 class _CompiledLine:
     """A transition line pre-chewed for the simulator."""
 
-    __slots__ = ("line", "dst", "reg_ops", "new_pos", "dup_ops", "dst_ops", "guess_count")
+    __slots__ = ("dst", "reg_ops", "new_pos", "dup_ops", "dst_ops", "guess_count")
 
     def __init__(self, line: TransitionLine):
-        self.line = line
         self.dst = line.dst
         src_pos = {v: i for i, v in enumerate(line.src_vars)}
         seen_letter = {}

@@ -160,6 +160,9 @@ def _cmd_orbits(args) -> int:
 
 
 def _cmd_learn(args) -> int:
+    for flag, value in (("--max-l", args.max_l), ("--max-eq", args.max_eq)):
+        if value < 0:
+            raise UsageError(f"{flag} must be non-negative, got {value}")
     target = _load_target(args.target)
     eq_depth = args.eq_depth
     if eq_depth is None and getattr(target, "char_length", None) is None:

@@ -176,10 +176,10 @@ class ObservationTable:
         not an upper row, in enumeration order; None when join-closed.
         Raises `OutOfTime` once the table's deadline has passed."""
         self._require_filled()
-        uppers = {self._rows[s].orbit_key() for s in self.s_labels()}
-        for label in self.all_labels():
-            if len(label) <= self.length:
-                continue  # its row is an upper row by definition
+        s_labels = self.s_labels()
+        uppers = {self._rows[s].orbit_key() for s in s_labels}
+        # labels are listed by length, so S . Sigma \ S follows S
+        for label in self.all_labels()[len(s_labels):]:
             _check_deadline(self.deadline)
             r = self._rows[label]
             if r.orbit_key() not in uppers and self._is_ji(r):
@@ -194,13 +194,6 @@ class ObservationTable:
         return self
 
     # -- consistency ------------------------------------------------------
-
-    def _extension_leq(self, s1: Word, s2: Word, letter) -> bool:
-        """row_of(s1 + letter) <= row_of(s2 + letter), decided on the two
-        labels' least-support rows and where their supports meet."""
-        r1, atoms1 = self._extension_pattern(s1, letter)
-        r2, atoms2 = self._extension_pattern(s2, letter)
-        return placed_leq(r1, r2, landing(atoms1, atoms2))
 
     def _extension_class(self, s: Word) -> tuple:
         """The extension class of a label of S, as a key tuple.
@@ -273,9 +266,16 @@ class ObservationTable:
         for s1, s2c in self._ordered_pairs(first.values()):
             if s2c == s1:
                 continue
-            defect = self._extension_defect(s1, s2c)
-            if defect is not None:
-                return defect
+            joint = frozenset(s1.atoms()) | frozenset(s2c.atoms())
+            for letter in self._letters(joint):
+                # row_of(s1 + letter) <= row_of(s2c + letter), decided on
+                # the least-support rows and where their supports meet
+                r1, atoms1 = self._extension_pattern(s1, letter)
+                r2, atoms2 = self._extension_pattern(s2c, letter)
+                if not placed_leq(r1, r2, landing(atoms1, atoms2)):
+                    return (s1, s2c, letter, first_difference(
+                        self.row_of(s1 + letter), self.row_of(s2c + letter)
+                    ))
         return None
 
     def _letters(self, joint):
@@ -289,16 +289,6 @@ class ObservationTable:
                 for inst in split_into_a_orbits(Word([base]), joint)
             ]
         return cached
-
-    def _extension_defect(self, s1, s2c):
-        joint = frozenset(s1.atoms()) | frozenset(s2c.atoms())
-        for letter in self._letters(joint):
-            if not self._extension_leq(s1, s2c, letter):
-                e = first_difference(
-                    self.row_of(s1 + letter), self.row_of(s2c + letter)
-                )
-                return (s1, s2c, letter, e)
-        return None
 
     def consistency_step(self, defect):
         """Add the orbit of a.e (and its suffixes, keeping E suffix-closed)."""
@@ -329,36 +319,31 @@ class ObservationTable:
                 raise TableNotClosed("table is not join-closed")
             if self.find_consistency_defect() is not None:
                 raise TableNotConsistent("table is not join-consistent")
-        chosen = dedup_by_orbit(
-            r for r in (self._rows[s] for s in self.s_labels()) if self._is_ji(r)
-        )
-        reduced = [r.reduced() for r in chosen]
+        uppers = (self._rows[s] for s in self.s_labels())
+        # reduced rows keep the label that owns them
+        reduced = [r.reduced() for r in dedup_by_orbit(filter(self._is_ji, uppers))]
 
         states = []
         row_eps = self._rows[EMPTY_WORD]
         initial = []
         final = []
-        for i, r in enumerate(chosen):
-            name = f"q{i}"
-            states.append(StateOrbit(name, len(reduced[i].support)))
-            if row_leq(reduced[i], row_eps):
-                initial.append(name)
-            if reduced[i].value(EMPTY_WORD):
-                final.append(name)
-
         transitions = []
-        for i, r in enumerate(chosen):
+        for i, r in enumerate(reduced):
             name = f"q{i}"
-            owner = r.owner
-            regs = reduced[i].support
-            owner_atoms = frozenset(owner.atoms())
+            regs = r.support
+            states.append(StateOrbit(name, len(regs)))
+            if row_leq(r, row_eps):
+                initial.append(name)
+            if r.value(EMPTY_WORD):
+                final.append(name)
+            owner_atoms = frozenset(r.owner.atoms())
             # one letter per orbit under renamings that fix the registers:
             # the owner's letters that read no owner atom the row forgot
             forgotten = owner_atoms.difference(regs)
             for letter in self._letters(owner_atoms):
                 if forgotten.intersection(letter.atoms):
                     continue
-                target, atoms = self._extension_pattern(owner, letter)
+                target, atoms = self._extension_pattern(r.owner, letter)
                 scope = frozenset(regs) | frozenset(letter.atoms)
                 for j, cand in enumerate(reduced):
                     for inj in partial_injections(cand.support, sorted(scope)):
@@ -493,7 +478,6 @@ def learn(teacher, budget: LearnBudget = None, log=None) -> LearnResult:
         while True:
             while True:
                 _check_deadline(deadline)
-                progressed = False
                 defect = table.find_closedness_defect()
                 if defect is not None:
                     if len(defect) > budget.max_length:
@@ -506,7 +490,6 @@ def learn(teacher, budget: LearnBudget = None, log=None) -> LearnResult:
                     )
                     table.close_step(defect)
                     stats.closedness_rounds += 1
-                    progressed = True
                 mismatch = table.find_consistency_defect()
                 if mismatch is not None:
                     s1, s2, letter, e = mismatch
@@ -516,8 +499,7 @@ def learn(teacher, budget: LearnBudget = None, log=None) -> LearnResult:
                     )
                     table.consistency_step(mismatch)
                     stats.consistency_rounds += 1
-                    progressed = True
-                if not progressed:
+                if defect is None and mismatch is None:
                     break
             hyp = table.build_hypothesis(verify_preconditions=False)
             emit(f"hypothesis with {hyp.state_orbit_count()} state orbits")

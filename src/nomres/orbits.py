@@ -104,14 +104,13 @@ class Letter(NamedTuple):
 
 
 class Word(tuple):
-    """A sequence of letters over one alphabet."""
+    """A sequence of letters over one alphabet.
+
+    A slice is a plain tuple: it hashes and compares like the Word of
+    the same letters, but a slice plus a Letter adds the letter's fields.
+    """
 
     __slots__ = ()
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return Word(tuple.__getitem__(self, i))
-        return tuple.__getitem__(self, i)
 
     def __add__(self, other):
         if isinstance(other, Letter):
@@ -131,7 +130,7 @@ class Word(tuple):
 
     def suffixes(self):
         """All suffixes, longest first, ending with the empty word."""
-        return [self[i:] for i in range(len(self) + 1)]
+        return [Word(self[i:]) for i in range(len(self) + 1)]
 
     def sort_key(self):
         return (len(self), self)

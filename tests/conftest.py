@@ -12,7 +12,7 @@ import pytest
 
 from nomres.orbits import AlphabetSpec, Letter, Word, enumerate_word_orbits
 from nomres import corpus
-from nomres.automaton import accepts
+from nomres.automaton import TransitionLine, accepts
 from nomres.learner import LearnBudget, learn
 from nomres.rows import ColumnSet, Row
 from nomres.teacher import for_corpus, for_language
@@ -227,7 +227,7 @@ def divergence_runs():
 def random_automaton(rng):
     """A small random automaton: 1-3 state orbits, dimensions <= 2,
     a handful of valid transition lines, guessing allowed."""
-    from nomres.automaton import StateOrbit, TransitionLine, SymbolicAutomaton
+    from nomres.automaton import StateOrbit, SymbolicAutomaton
 
     roll = rng.random()
     if roll < 0.25:
@@ -264,6 +264,78 @@ def random_automaton(rng):
     initial = [n for n in names if rng.random() < 0.6] or [names[0]]
     final = [n for n in names if rng.random() < 0.5]
     return SymbolicAutomaton(alphabet, states, initial, final, lines)
+
+
+# -- automata up to renaming ---------------------------------------------
+
+def _normal_line(line):
+    """A transition line with its variables renamed by first occurrence."""
+    names = {}
+    for v in line.src_vars + line.letter_vars + line.dst_vars:
+        names.setdefault(v, f"x{len(names)}")
+    return (
+        line.src, tuple(names[v] for v in line.src_vars),
+        line.letter_tag, tuple(names[v] for v in line.letter_vars),
+        line.dst, tuple(names[v] for v in line.dst_vars),
+    )
+
+
+def _state_signatures(aut):
+    """Per state orbit, what every renaming keeps: dimension, initial and
+    final flags, and the numbers of lines leaving and entering it."""
+    return {
+        q.name: (
+            q.dimension, q.name in aut.initial, q.name in aut.final,
+            sum(t.src == q.name for t in aut.transitions),
+            sum(t.dst == q.name for t in aut.transitions),
+        )
+        for q in aut.states
+    }
+
+
+def isomorphic(a, b):
+    """Is ``b`` the automaton ``a`` up to renaming?
+
+    Brute force: every bijection of state orbits that keeps their
+    signatures, and per state orbit every permutation of its registers.
+    Under them the initial states, the final states and the transition
+    lines (variables renamed by first occurrence) must map onto ``b``'s;
+    the signatures carry the initial and final flags, so the bijection
+    maps those states onto ``b``'s by construction.
+    """
+    if a.alphabet != b.alphabet:
+        return False
+    sig_a, sig_b = _state_signatures(a), _state_signatures(b)
+    if sorted(sig_a.values()) != sorted(sig_b.values()):
+        return False
+    lines_b = {_normal_line(t) for t in b.transitions}
+    names = list(sig_a)
+    for image in itertools.permutations(sig_b):
+        if any(sig_a[p] != sig_b[q] for p, q in zip(names, image)):
+            continue
+        name = dict(zip(names, image))
+        # register i of state orbit p becomes register perm[p][i] of name[p]
+        for perms in itertools.product(
+            *(itertools.permutations(range(sig_a[p][0])) for p in names)
+        ):
+            perm = dict(zip(names, perms))
+
+            def move(q, vars_):
+                moved = [None] * len(vars_)
+                for i, v in enumerate(vars_):
+                    moved[perm[q][i]] = v
+                return name[q], tuple(moved)
+
+            lines_a = set()
+            for t in a.transitions:
+                src, src_vars = move(t.src, t.src_vars)
+                dst, dst_vars = move(t.dst, t.dst_vars)
+                lines_a.add(_normal_line(TransitionLine(
+                    src, src_vars, t.letter_tag, t.letter_vars, dst, dst_vars
+                )))
+            if lines_a == lines_b:
+                return True
+    return False
 
 
 # -- acceptance reporting ------------------------------------------------

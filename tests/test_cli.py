@@ -259,6 +259,36 @@ class TestLearn:
         assert len(parse(out_path.read_text()).states) == 2
 
 
+class TestLearnBudgets:
+    """A negative learn budget is a usage error, refused before any work;
+    a budget of 0 is a budget, and the run diverges on it."""
+
+    @pytest.mark.parametrize(
+        "argv", [("--max-l", "-1"), ("--max-eq", "-3"), ("--max-l", "-1", "--max-eq", "-1")],
+        ids=["max-l", "max-eq", "both"],
+    )
+    def test_negative_budget_is_refused(self, capsys, monkeypatch, argv):
+        def never(*args, **kwargs):
+            raise AssertionError("target loaded")
+
+        monkeypatch.setattr(cli, "_load_target", never)
+        code, out, err = run(capsys, "learn", "--target", "builtin:Ld", *argv)
+        assert is_usage_error(code, out, err)
+        assert argv[0] in err
+
+    @pytest.mark.parametrize(
+        "flag,reason", [("--max-eq", "equivalence"), ("--max-l", "length")]
+    )
+    def test_zero_budget_diverges(self, tmp_path, capsys, flag, reason):
+        stats_path = tmp_path / "stats.json"
+        code, out, _ = run(
+            capsys, "learn", "--target", "builtin:Ld", flag, "0",
+            "--stats", str(stats_path),
+        )
+        assert code == 1 and out.strip() == "DIVERGED"
+        assert json.loads(stats_path.read_text())["divergence_reason"] == reason
+
+
 class TestCorpusExport:
     def test_export(self, tmp_path, capsys):
         out_path = tmp_path / "ak2.aut"

@@ -25,7 +25,7 @@ from nomres.learner import (
     hypothesis_agreement_violations,
     learn,
 )
-from nomres.rows import _realize, first_difference, row_leq
+from nomres.rows import _realize, first_difference, landing, placed_leq, row_leq
 from nomres.teacher import MembershipOracle, for_corpus, for_language
 from nomres import corpus
 
@@ -336,7 +336,9 @@ class TestPatternComparison:
             for letter in _letters(t, joint):
                 w1, w2 = s1 + letter, s2c + letter
                 expected = _reference_leq(t, w1, w2)
-                assert t._extension_leq(s1, s2c, letter) == expected
+                r1, atoms1 = t._extension_pattern(s1, letter)
+                r2, atoms2 = t._extension_pattern(s2c, letter)
+                assert placed_leq(r1, r2, landing(atoms1, atoms2)) == expected
                 checked += 1
                 if not expected and reference_defect is None:
                     r1, r2 = t.row_of(w1), t.row_of(w2)

@@ -115,8 +115,9 @@ def _private(name):
 
 def _dead_private_code(paths):
     """Private functions, methods and classes that no file references
-    outside their own body, and private attributes stored but never
-    loaded, over all of ``paths`` together."""
+    outside their own body, private attributes stored but never loaded,
+    and attributes a private class stores on ``self`` that no file
+    loads (as ``Class.attr``), over all of ``paths`` together."""
     trees = [ast.parse(path.read_text(), filename=str(path)) for path in paths]
     nodes = [node for tree in trees for node in ast.walk(tree)]
 
@@ -145,6 +146,22 @@ def _dead_private_code(paths):
         and isinstance(node.ctx, ast.Store)
         and _private(node.attr)
         and not everywhere[node.attr]
+    }
+    loaded = Counter(
+        node.attr
+        for node in nodes
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
+    dead |= {
+        f"{node.name}.{inner.attr}"
+        for node in nodes
+        if isinstance(node, ast.ClassDef) and _private(node.name)
+        for inner in ast.walk(node)
+        if isinstance(inner, ast.Attribute)
+        and isinstance(inner.ctx, ast.Store)
+        and isinstance(inner.value, ast.Name)
+        and inner.value.id == "self"
+        and not loaded[inner.attr]
     }
     return sorted(dead)
 
