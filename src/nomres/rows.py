@@ -24,6 +24,18 @@ into place, which later checks and every spread read.  No word is built;
 a concrete witness column is found by one loop over joint column
 instances (`first_difference`).
 
+The atom-free and one-atom blocks are decided per atom, once per row
+pair (`atom_tables`).  The atom-free blocks do not depend on the
+placement.  In a one-atom block, placed atom i meets only the atom j
+of supp(r2) it lands on, or r2's instance on a fresh atom when it lands
+outside, and an atom j that nothing hits meets r1's fresh instance; the
+two fresh instances always meet.  So those blocks pass a placement
+exactly when no pair (i, j) of it is forbidden, every unlanded i may
+land outside and every unhit j may stay unhit (`admits`).  The searches
+filter their placement listings through these tables, and only the
+placements they admit reach `placed_leq`, which still decides the
+blocks with two or more atoms.
+
 Joins below a row are built from the placed copies that sit below it,
 one family row after another (`_survivors`).  The join-irreducibility
 test stops at the first copy that makes them cover the row, and checks
@@ -382,6 +394,58 @@ def placed_leq(r1: Row, r2: Row, pattern: tuple, equal=False) -> bool:
     return True
 
 
+def atom_tables(r1: Row, r2: Row):
+    """The atom-free and one-atom blocks of placing r1 into r2, as
+    per-atom tables; None when they fail whatever the placement.
+
+    ``forbid[i]`` masks the atoms of supp(r2) that atom i of r1 may not
+    land on, ``outside_ok`` the atoms of r1 that may land outside
+    supp(r2), and ``unhit_ok`` the atoms of r2 that may stay unhit; the
+    last two have every bit past their support set.
+    """
+    _check_current(r1, r2)
+    n1, n2 = len(r1.support), len(r2.support)
+    own1, own2 = (1 << n1) - 1, (1 << n2) - 1
+    forbid = [0] * n1
+    outside_ok = unhit_ok = -1
+    for (k, o1, m1), (_, o2, m2) in zip(r2.columns._layout(n1),
+                                        r2.columns._layout(n2)):
+        if k > 1:
+            continue
+        b1, b2 = r1.bits >> o1 & m1, r2.bits >> o2 & m2
+        if not k:
+            if b1 & ~b2:
+                return None
+            continue
+        # bit n of a one-atom block is its column on a fresh atom
+        fresh1, fresh2 = b1 >> n1 & 1, b2 >> n2 & 1
+        if fresh1 and not fresh2:
+            return None
+        atoms1, missing2 = b1 & own1, ~b2 & own2
+        if missing2:
+            for i in range(n1):
+                if atoms1 >> i & 1:
+                    forbid[i] |= missing2
+        if not fresh2:
+            outside_ok &= ~atoms1
+        if fresh1:
+            unhit_ok &= b2 | ~own2
+    return forbid, outside_ok, unhit_ok
+
+
+def admits(tables, pattern) -> bool:
+    """Do the atom-free and one-atom blocks pass the placement
+    ``pattern``, read off `atom_tables`?"""
+    forbid, outside_ok, unhit_ok = tables
+    landed = hit = 0
+    for i, j in pattern:
+        if forbid[i] >> j & 1:
+            return False
+        landed |= 1 << i
+        hit |= 1 << j
+    return (landed | outside_ok) == -1 and (hit | unhit_ok) == -1
+
+
 def _fits(b1: int, b2: int, up, down, equal) -> bool:
     """Is b1 below b2 (with ``equal``: equal to it) through ``(up, down)``?"""
     return not _meets(b1, up, b2, down) and not (equal and _meets(b2, down, b1, up))
@@ -448,14 +512,19 @@ def _survivors(t: Row, family, strict, deadline=None):
 
     Whether a placed copy sits below t only depends on which of its
     atoms land on which atoms of supp(t); the remaining atoms are fresh.
+    Only the placements that the family row's `atom_tables` admit reach
+    `placed_leq`.
     """
     positions = range(len(t.support))
     for y0 in family:
         _check_deadline(deadline)
         y = y0.reduced()
+        tables = atom_tables(y, t)
+        if tables is None:
+            continue
         for tpat in partial_injections(range(len(y.support)), positions):
             pattern = tuple(tpat.items())
-            if not placed_leq(y, t, pattern):
+            if not admits(tables, pattern) or not placed_leq(y, t, pattern):
                 continue
             if strict and placed_leq(y, t, pattern, equal=True):
                 continue

@@ -148,37 +148,56 @@ class TestSearchDeadline:
 
 class TestOrderedPairsDeadline:
     """`_ordered_pairs` checks the deadline before each label pair and
-    before each placement of it, and decides every placement afresh.  A
-    fake clock passes the deadline as soon as the first placement is
-    decided, so each test stops at the one check it is about and would
-    run on without it."""
+    before each placement of it that the atom tables admit, and decides
+    every admitted placement afresh.  A fake clock passes the deadline as
+    soon as the first placement is decided (or, for a pair the tables
+    reject outright, as soon as its tables are built), so each test
+    stops at the one check it is about and would run on without it."""
 
     @staticmethod
-    def walk_past_deadline(t, labels, monkeypatch):
-        """The placements decided and the pairs yielded before `OutOfTime`."""
+    def walk_past_deadline(t, labels, monkeypatch, tick_on_rejection=False):
+        """The placements decided, the tables built and the pairs yielded
+        before `OutOfTime`."""
         now = [0.0]
         monkeypatch.setattr(rows, "time", SimpleNamespace(monotonic=lambda: now[0]))
-        decided = []
+        decided, built = [], []
 
         def placed_leq(r1, r2, pattern):
             decided.append(pattern)
-            now[0] = 2.0
+            if not tick_on_rejection:
+                now[0] = 2.0
             return rows.placed_leq(r1, r2, pattern)
 
+        def atom_tables(r1, r2):
+            built.append(rows.atom_tables(r1, r2))
+            if tick_on_rejection and built[-1] is None:
+                now[0] = 2.0
+            return built[-1]
+
         monkeypatch.setattr(learner, "placed_leq", placed_leq)
+        monkeypatch.setattr(learner, "atom_tables", atom_tables)
         t.deadline = 1.0
         yielded = []
         with pytest.raises(OutOfTime):
             for pair in t._ordered_pairs(labels):
                 yielded.append(pair)
-        return decided, yielded
+        return decided, built, yielded
 
     def test_stops_before_the_next_landing_of_the_same_pair(self, monkeypatch):
-        # row(a(0)) has support {0}: the pair (a(0), a(0)) has two
-        # placements, landing nowhere and on the identity
-        t = table_for("Ld", length=1, columns=["a(0)"])
-        assert len(t.row(parse_word("a(0)")).reduced().support) == 1
-        decided, _ = self.walk_past_deadline(t, [parse_word("a(0)")], monkeypatch)
+        # row(a(0) a(1)) has support {0} and misses its column a(0) a(0):
+        # of the seven placements of the pair (a(0) a(1), a(0) a(1)), the
+        # tables admit the two that land atom 0 on atom 0
+        t = table_for("Ld", length=2, columns=["a(0) a(0)"])
+        label = parse_word("a(0) a(1)")
+        r = t.row(label).reduced()
+        tables = rows.atom_tables(r, r)
+        placements = list(partial_injections(range(2), range(2)))
+        admitted = [
+            inj for inj in placements
+            if rows.admits(tables, landing([inj.get(b) for b in r.support], r.support))
+        ]
+        assert (len(placements), len(admitted)) == (7, 2)
+        decided, _, _ = self.walk_past_deadline(t, [label], monkeypatch)
         assert len(decided) == 1
 
     def test_stops_before_the_next_pair(self, monkeypatch):
@@ -189,9 +208,21 @@ class TestOrderedPairsDeadline:
         assert {
             (t.row(l).reduced().support, t.row(l).reduced().bits) for l in labels
         } == {((), 0)}
-        decided, yielded = self.walk_past_deadline(t, labels, monkeypatch)
+        decided, _, yielded = self.walk_past_deadline(t, labels, monkeypatch)
         assert len(decided) == 1
         assert yielded == [(EMPTY_WORD, EMPTY_WORD)]
+
+    def test_stops_after_a_rejected_pair_before_the_next_pair(self, monkeypatch):
+        # a(0) a(0) is in Ld and eps is not, so the tables reject the pair
+        # (a(0) a(0), eps) on the eps column without deciding a placement
+        t = table_for("Ld", length=1, columns=["a(0)"])
+        labels = [parse_word("a(0) a(0)"), EMPTY_WORD]
+        decided, built, yielded = self.walk_past_deadline(
+            t, labels, monkeypatch, tick_on_rejection=True
+        )
+        assert len(built) == 2 and built[0] is not None and built[1] is None
+        assert len(decided) == 1
+        assert yielded == [(labels[0], labels[0])]
 
 
 class TestClosedness:
@@ -379,6 +410,56 @@ def _verdict(t, s1, s2c):
         if not row_leq(t.row_of(s1 + letter), t.row_of(s2c + letter)):
             return i
     return -1
+
+
+def _reference_ordered_pairs(t, labels):
+    """`_ordered_pairs` as the full listing: every placement of every
+    label pair is decided by `placed_leq`, in `partial_injections` order."""
+    for s1 in labels:
+        sup1 = sorted(frozenset(s1.atoms()))
+        r1 = t.row(s1).reduced()
+        for s2 in labels:
+            sup2 = sorted(frozenset(s2.atoms()))
+            r2 = t.row(s2).reduced()
+            for inj in partial_injections(sup2, sup1):
+                land = landing([inj.get(b) for b in r2.support], r1.support)
+                if placed_leq(r1, r2, tuple(sorted((i, j) for j, i in land))):
+                    yield s1, s2.rename(_realize(inj, sup2, sup1))
+
+
+class TestAtomTablesInSearches:
+    """Placements the atom tables reject are exactly placements
+    `placed_leq` would reject: the searches find what the full listing
+    finds, in the same order."""
+
+    TABLES = [
+        ("Ln", 4, ["a(0) a(0)"]),
+        ("Ak:2", 2, ["a(0) a(0)"]),
+        ("Lng", 4, ["a(0) a(0) a(0) a(1)"]),
+    ]
+
+    @pytest.mark.parametrize("name,length,columns", TABLES, ids=["Ln", "Ak:2", "Lng"])
+    def test_ordered_pairs_match_full_listing(self, name, length, columns):
+        t = table_for(name, length=length, columns=columns)
+        labels = t.s_labels()
+        found = list(t._ordered_pairs(labels))
+        assert found and found == list(_reference_ordered_pairs(t, labels))
+
+    # Ln's table at l = 4 has no join-irreducible upper row
+    @pytest.mark.parametrize(
+        "name,length,columns",
+        [TABLES[1], TABLES[2], ("Ld", 2, ["a(0) a(0)"]), ("Lr", 2, ["a(0) a(1) a(0)"])],
+        ids=["Ak:2", "Lng", "Ld", "Lr"],
+    )
+    def test_hypothesis_matches_full_listing(self, name, length, columns, monkeypatch):
+        t = table_for(name, length=length, columns=columns)
+        hyp = t.build_hypothesis(verify_preconditions=False).automaton
+        assert hyp.transitions
+        # tables that admit every placement give the full listing
+        monkeypatch.setattr(learner, "atom_tables", lambda r1, r2: ())
+        monkeypatch.setattr(learner, "admits", lambda tables, pattern: True)
+        full = t.build_hypothesis(verify_preconditions=False).automaton
+        assert automaton.render(full) == automaton.render(hyp)
 
 
 class TestExtensionClasses:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -9,6 +10,9 @@ from nomres.rows import (
     ColumnError,
     ColumnSet,
     Row,
+    _survivors,
+    admits,
+    atom_tables,
     dedup_by_orbit,
     in_family_orbit,
     is_generated_by,
@@ -486,9 +490,10 @@ def reference_shapes(cs, n):
     ]
 
 
-def reference_placement_map(cs, n1, n2, pattern):
+def reference_placement_map(cs, n1, n2, pattern, shapes=reference_shapes):
     """The placement map read off the whole basis of the joint support:
-    each joint instance relates its placed and its target projection."""
+    each joint instance relates its placed and its target projection.
+    ``shapes`` lists `reference_shapes`, possibly from a memo."""
     landing = dict(pattern)
     m = n2
     for i in range(n1):
@@ -496,11 +501,11 @@ def reference_placement_map(cs, n1, n2, pattern):
             landing[i] = m
             m += 1
     inv = {b: i for i, b in landing.items()}
-    own = {s: k for k, s in enumerate(reference_shapes(cs, n1))}
-    index = {s: k for k, s in enumerate(reference_shapes(cs, n2))}
+    own = {s: k for k, s in enumerate(shapes(cs, n1))}
+    index = {s: k for k, s in enumerate(shapes(cs, n2))}
     up = [0] * len(own)
     down = [0] * len(index)
-    for p, shape in reference_shapes(cs, m):
+    for p, shape in shapes(cs, m):
         i = own[(p, tuple(inv.get(x, -1) for x in shape))]
         j = index[(p, tuple(x if x < n2 else -1 for x in shape))]
         up[i] |= 1 << j
@@ -584,3 +589,130 @@ class TestPlacementMaps:
         rows = [wide_random_row(rng, cs) for _ in range(10)]
         for r1, r2, pattern, equal, expected in placed_pairs(rows):
             assert placed_leq(r1, r2, pattern, equal) == expected
+
+
+def low_blocks_mask(cs, n):
+    """The basis positions, on n atoms, of the column orbits with at most
+    one atom."""
+    ks = [len(set(pattern.atoms())) for pattern in cs]
+    return sum(
+        1 << i for i, (p, _) in enumerate(reference_shapes(cs, n)) if ks[p] <= 1
+    )
+
+
+def reference_survivors(t, family, strict):
+    """`_survivors` as the full listing: every placement of every family
+    row is decided by `placed_leq`."""
+    positions = range(len(t.support))
+    for y0 in family:
+        y = y0.reduced()
+        for tpat in partial_injections(range(len(y.support)), positions):
+            pattern = tuple(tpat.items())
+            if not placed_leq(y, t, pattern):
+                continue
+            if strict and placed_leq(y, t, pattern, equal=True):
+                continue
+            up, _ = t.columns.placement_map(len(y.support), len(t.support), pattern)
+            yield spread_bits(y.bits, up)
+
+
+def random_rows_any_density(rng, cs, count):
+    """Random rows on up to three atoms whose bit density varies from
+    row to row, so that all four kinds of table entry get exercised."""
+    out = []
+    for _ in range(count):
+        support = frozenset(rng.sample(range(5), rng.randint(0, 3)))
+        density = rng.choice((0.2, 0.5, 0.8, 0.95))
+        bits = {e.render(): rng.random() < density for e in cs.instances(support)}
+        out.append(make_row(cs, support, bits))
+    return out
+
+
+ATOM_TABLE_TABLES = [
+    ("Ln", 4, ["a(0) a(0)"]),
+    ("Ak:2", 2, ["a(0) a(0)"]),
+    ("Lng", 4, ["a(0) a(0) a(0) a(1)"]),
+]
+
+
+class TestAtomTables:
+    """The per-atom tables admit exactly the placements whose atom-free
+    and one-atom column blocks pass, read off the joint-basis reference
+    map; admitting first and then asking `placed_leq` keeps exactly the
+    reference's true placements, in `partial_injections` order."""
+
+    @staticmethod
+    def check_rows(rows):
+        cs = rows[0].columns
+        shapes = functools.cache(reference_shapes)
+        maps = functools.cache(
+            lambda *key: reference_placement_map(cs, *key, shapes)
+        )
+        seen = {"none": 0, "admitted": 0, "rejected": 0}
+        for r2 in rows:
+            n2 = len(r2.support)
+            tables = {id(r1): atom_tables(r1, r2) for r1 in rows}
+            seen["none"] += sum(tb is None for tb in tables.values())
+            kept = {id(r1): [] for r1 in rows}
+            expected = {id(r1): [] for r1 in rows}
+            for n1 in sorted({len(r1.support) for r1 in rows}):
+                low = low_blocks_mask(cs, n1)
+                for inj in partial_injections(range(n1), range(n2)):
+                    pattern = tuple(inj.items())
+                    _, down = maps(n1, n2, pattern)
+                    # the positions on n1 atoms whose joint columns r2 misses
+                    bad = 0
+                    for j, mask in enumerate(down):
+                        if not r2.bits >> j & 1:
+                            bad |= mask
+                    for r1 in rows:
+                        if len(r1.support) != n1:
+                            continue
+                        tb = tables[id(r1)]
+                        passes = tb is not None and admits(tb, pattern)
+                        assert passes == (not r1.bits & low & bad), (r1, r2, pattern)
+                        seen["admitted" if passes else "rejected"] += 1
+                        if passes and placed_leq(r1, r2, pattern):
+                            kept[id(r1)].append(pattern)
+                        if not r1.bits & bad:
+                            expected[id(r1)].append(pattern)
+            assert kept == expected, r2
+        return seen
+
+    @pytest.mark.parametrize("columns", PLACEMENT_COLUMNS, ids=PLACEMENT_IDS)
+    def test_random_rows_match_reference(self, columns):
+        cs = columns()
+        rows = random_rows_any_density(random.Random(53), cs, 24)
+        seen = self.check_rows(rows)
+        assert all(seen.values()), seen
+
+    def test_two_atom_column_orbit(self):
+        # as in TestBruteForceOracleTwoAtomColumns: the one-atom block
+        # a(1) is only there as a suffix of the two-atom orbit
+        cs = ColumnSet()
+        cs.add(parse_word("a(0) a(1)"))
+        rows = random_rows_any_density(random.Random(59), cs, 24)
+        seen = self.check_rows(rows)
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize(
+        "name,length,columns", ATOM_TABLE_TABLES, ids=["Ln", "Ak:2", "Lng"]
+    )
+    def test_table_rows_match_reference(self, name, length, columns):
+        t = filled_table(name, length, columns)
+        rows = [r.reduced() for r in t.rows_family()]
+        seen = self.check_rows(rows)
+        assert seen["admitted"] and seen["rejected"], seen
+
+    @pytest.mark.parametrize(
+        "name,length,columns", ATOM_TABLE_TABLES, ids=["Ln", "Ak:2", "Lng"]
+    )
+    def test_survivors_match_full_listing(self, name, length, columns):
+        t = filled_table(name, length, columns)
+        family = t.rows_family()
+        for r in family:
+            target = r.reduced()
+            for strict in (False, True):
+                assert list(_survivors(target, family, strict)) == list(
+                    reference_survivors(target, family, strict)
+                ), (r, strict)
