@@ -31,12 +31,11 @@ from .rows import (
     ColumnSet,
     OutOfTime,
     Row,
-    admits,
-    atom_tables,
     dedup_by_orbit,
     first_difference,
     is_join_irreducible,
     landing,
+    placed_below,
     placed_leq,
     row_leq,
     _check_deadline,
@@ -220,20 +219,19 @@ class ObservationTable:
         s2 in ``labels`` relative to s1, and row(s1) <= row(s2c), in
         search order; placements cover overlapping supports.  Raises
         `OutOfTime` before a label pair (s1, s2), and before each
-        placement of it that the tables admit, once the table's deadline
-        has passed.
+        placement of it that the atom tables admit, once the table's
+        deadline has passed.
 
         row(s1) <= inj.row(s2) iff inj^-1.row(s1) <= row(s2), which only
         depends on the two least-support rows and on where inj lands the
         support of row(s2) inside that of row(s1).  A canonical label's
         support is fixed by its size, so the placements of s2, each with
         the pattern it places row(s2) by, are listed once per pair of
-        support sizes and least supports.  The `atom_tables` of the two
-        rows decide the atom-free and one-atom column blocks once per
-        label pair, and only the placements they admit reach
-        `placed_leq`; s2c is built only for the pairs it yields.
+        support sizes and least supports, and every label pair reads its
+        listing through `placed_below`; s2c is built only for the
+        placements it yields.
         """
-        placements = {}  # (k2, k1, least supports) -> [(injection, pattern)]
+        placements = {}  # (k2, k1, least supports) -> [(pattern, injection)]
         for s1 in labels:
             sup1 = sorted(frozenset(s1.atoms()))
             r1 = self._rows[s1].reduced()
@@ -247,16 +245,9 @@ class ObservationTable:
                     for inj in partial_injections(sup2, sup1):
                         land = landing([inj.get(b) for b in r2.support], r1.support)
                         pattern = tuple(sorted((i, j) for j, i in land))
-                        placements[key].append((inj, pattern))
-                tables = atom_tables(r1, r2)
-                if tables is None:
-                    continue
-                for inj, pattern in placements[key]:
-                    if not admits(tables, pattern):
-                        continue
-                    _check_deadline(self.deadline)
-                    if placed_leq(r1, r2, pattern):
-                        yield s1, s2.rename(_realize(inj, sup2, sup1))
+                        placements[key].append((pattern, inj))
+                for inj in placed_below(r1, r2, placements[key], self.deadline):
+                    yield s1, s2.rename(_realize(inj, sup2, sup1))
 
     def find_consistency_defect(self):
         """A tuple (s1, s2, a, e) with row(s1) <= row(s2) yet a.e telling
@@ -356,15 +347,11 @@ class ObservationTable:
                 target, atoms = self._extension_pattern(r.owner, letter)
                 scope = frozenset(regs) | frozenset(letter.atoms)
                 for j, cand in enumerate(reduced):
-                    tables = atom_tables(cand, target)
-                    if tables is None:
-                        continue
-                    for inj in partial_injections(cand.support, sorted(scope)):
-                        pattern = landing([inj.get(a) for a in cand.support], atoms)
-                        if not admits(tables, pattern):
-                            continue
-                        if not placed_leq(cand, target, pattern):
-                            continue
+                    listing = (
+                        (landing([inj.get(a) for a in cand.support], atoms), inj)
+                        for inj in partial_injections(cand.support, sorted(scope))
+                    )
+                    for inj in placed_below(cand, target, listing):
                         placement = _realize(inj, cand.support, scope | owner_atoms)
                         transitions.append(
                             self._line(name, regs, letter, f"q{j}",

@@ -17,24 +17,23 @@ support of the row it places.  Whether a placed copy of r1 sits below
 support land on which positions of r2's support.  Every other atom
 lands outside supp(r2), where any fresh atom does the same.
 
-A basis is one block per column orbit (`ColumnSet`).  A first-time
-check (`placed_leq`) walks the blocks and stops at the first violated
-one; a check that passes caches the flat map, the block maps shifted
-into place, which later checks and every spread read.  No word is built;
-a concrete witness column is found by one loop over joint column
-instances (`first_difference`).
+A basis is one block per column orbit (`ColumnSet`).  A check
+(`placed_leq`) reads the flat map of its pattern, the block maps shifted
+into place, which the column set caches for every later check and
+spread.  No word is built; a concrete witness column is found by one
+loop over joint column instances (`first_difference`).
 
 The atom-free and one-atom blocks are decided per atom, once per row
-pair (`atom_tables`).  The atom-free blocks do not depend on the
+pair (`_atom_tables`).  The atom-free blocks do not depend on the
 placement.  In a one-atom block, placed atom i meets only the atom j
 of supp(r2) it lands on, or r2's instance on a fresh atom when it lands
 outside, and an atom j that nothing hits meets r1's fresh instance; the
 two fresh instances always meet.  So those blocks pass a placement
 exactly when no pair (i, j) of it is forbidden, every unlanded i may
-land outside and every unhit j may stay unhit (`admits`).  The searches
-filter their placement listings through these tables, and only the
-placements they admit reach `placed_leq`, which still decides the
-blocks with two or more atoms.
+land outside and every unhit j may stay unhit (`_admits`).  One search
+(`placed_below`) owns these tables: every listing of placements goes
+through it, and only the placements the tables admit reach
+`placed_leq`.
 
 Joins below a row are built from the placed copies that sit below it,
 one family row after another (`_survivors`).  The join-irreducibility
@@ -78,8 +77,9 @@ class ColumnSet:
     column orbit with k atoms has one block, whose shapes (`_block`) and
     maps (`_block_map`) depend only on k, the support sizes and the
     pattern, not on E, so they stay for the life of the column set.
-    Block offsets (`_layout`), instances and flat maps (`placement_map`)
-    hold for the current version only: adding a column orbit clears them.
+    Block offsets (`_layout`), instances and flat maps (`placement_map`,
+    assembled from the block maps) hold for the current version only:
+    adding a column orbit clears them.
     """
 
     def __init__(self):
@@ -374,27 +374,34 @@ def placed_leq(r1: Row, r2: Row, pattern: tuple, equal=False) -> bool:
 
     ``pattern`` pairs positions (i, j), increasing in i: atom i of r1's
     support lands on atom j of r2's support, and every other atom lands
-    outside supp(r2).
-
-    Without the pattern's flat map cached, the column blocks are checked
-    in basis order up to the first violated one; a True verdict caches
-    the flat map for the spread that usually follows.
+    outside supp(r2).  Decided on the pattern's flat map, which stays
+    cached for the spread that usually follows.
     """
     _check_current(r1, r2)
-    columns = r2.columns
-    n1, n2 = len(r1.support), len(r2.support)
-    cached = columns._maps.get((n1, n2, pattern))
-    if cached is not None:
-        return _fits(r1.bits, r2.bits, *cached, equal)
-    for (k, o1, m1), (_, o2, m2) in zip(columns._layout(n1), columns._layout(n2)):
-        up, down = columns._block_map(k, n1, n2, pattern)
-        if not _fits(r1.bits >> o1 & m1, r2.bits >> o2 & m2, up, down, equal):
-            return False
-    columns.placement_map(n1, n2, pattern)
-    return True
+    up, down = r2.columns.placement_map(len(r1.support), len(r2.support), pattern)
+    return _fits(r1.bits, r2.bits, up, down, equal)
 
 
-def atom_tables(r1: Row, r2: Row):
+def placed_below(r1: Row, r2: Row, placements, deadline=None):
+    """The payload of every placement of r1 whose copy sits below r2.
+
+    ``placements`` lists ``(pattern, payload)`` pairs; the payloads come
+    out in listing order.  The row pair's `_atom_tables` are built once,
+    and only the placements they admit reach `placed_leq`; none does
+    when the tables fail whatever the placement.  Raises `OutOfTime`
+    before an admitted placement once ``deadline`` has passed.
+    """
+    tables = _atom_tables(r1, r2)
+    if tables is None:
+        return
+    for pattern, payload in placements:
+        if _admits(tables, pattern):
+            _check_deadline(deadline)
+            if placed_leq(r1, r2, pattern):
+                yield payload
+
+
+def _atom_tables(r1: Row, r2: Row):
     """The atom-free and one-atom blocks of placing r1 into r2, as
     per-atom tables; None when they fail whatever the placement.
 
@@ -433,9 +440,9 @@ def atom_tables(r1: Row, r2: Row):
     return forbid, outside_ok, unhit_ok
 
 
-def admits(tables, pattern) -> bool:
+def _admits(tables, pattern) -> bool:
     """Do the atom-free and one-atom blocks pass the placement
-    ``pattern``, read off `atom_tables`?"""
+    ``pattern``, read off `_atom_tables`?"""
     forbid, outside_ok, unhit_ok = tables
     landed = hit = 0
     for i, j in pattern:
@@ -478,15 +485,21 @@ def first_difference(r1: Row, r2: Row):
     return None
 
 
-def row_leq(r1: Row, r2: Row) -> bool:
-    """Pointwise inclusion, decided on joint-support representatives."""
+def _same_columns(r1: Row, r2: Row):
+    """Rows are compared on r2's basis, so both must be over one column set."""
     if r1.columns is not r2.columns and list(r1.columns) != list(r2.columns):
         raise ValueError("rows over different column sets")
+
+
+def row_leq(r1: Row, r2: Row) -> bool:
+    """Pointwise inclusion, decided on joint-support representatives."""
+    _same_columns(r1, r2)
     return placed_leq(r1, r2, landing(r1.support, r2.support))
 
 
 def row_eq(r1: Row, r2: Row) -> bool:
     """Denotation equality, decided on joint-support representatives."""
+    _same_columns(r1, r2)
     return placed_leq(r1, r2, landing(r1.support, r2.support), equal=True)
 
 
@@ -512,20 +525,16 @@ def _survivors(t: Row, family, strict, deadline=None):
 
     Whether a placed copy sits below t only depends on which of its
     atoms land on which atoms of supp(t); the remaining atoms are fresh.
-    Only the placements that the family row's `atom_tables` admit reach
-    `placed_leq`.
     """
     positions = range(len(t.support))
     for y0 in family:
         _check_deadline(deadline)
         y = y0.reduced()
-        tables = atom_tables(y, t)
-        if tables is None:
-            continue
-        for tpat in partial_injections(range(len(y.support)), positions):
-            pattern = tuple(tpat.items())
-            if not admits(tables, pattern) or not placed_leq(y, t, pattern):
-                continue
+        listing = (  # each pattern is its own payload
+            (tuple(tpat.items()),) * 2
+            for tpat in partial_injections(range(len(y.support)), positions)
+        )
+        for pattern in placed_below(y, t, listing):
             if strict and placed_leq(y, t, pattern, equal=True):
                 continue
             up, _ = t.columns.placement_map(len(y.support), len(t.support), pattern)

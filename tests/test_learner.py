@@ -14,7 +14,7 @@ from nomres.orbits import (
     partial_injections,
     split_into_a_orbits,
 )
-from nomres import automaton, learner, rows
+from nomres import automaton, rows
 from nomres.automaton import accepts
 from nomres.learner import (
     LearnBudget,
@@ -147,35 +147,40 @@ class TestSearchDeadline:
 
 
 class TestOrderedPairsDeadline:
-    """`_ordered_pairs` checks the deadline before each label pair and
-    before each placement of it that the atom tables admit, and decides
-    every admitted placement afresh.  A fake clock passes the deadline as
-    soon as the first placement is decided (or, for a pair the tables
-    reject outright, as soon as its tables are built), so each test
-    stops at the one check it is about and would run on without it."""
+    """`_ordered_pairs` checks the deadline before each label pair, and
+    its search `rows.placed_below` before each placement of the pair that
+    the atom tables admit, which it decides afresh.  A fake clock passes
+    the deadline as soon as the first placement is decided (or, for a
+    pair the tables reject outright, as soon as its tables are built),
+    so each test stops at the one check it is about and would run on
+    without it."""
 
     @staticmethod
     def walk_past_deadline(t, labels, monkeypatch, tick_on_rejection=False):
         """The placements decided, the tables built and the pairs yielded
         before `OutOfTime`."""
+        for label in labels:
+            # reducing a row decides placements of its own; do it first
+            t.row(label).reduced()
         now = [0.0]
         monkeypatch.setattr(rows, "time", SimpleNamespace(monotonic=lambda: now[0]))
         decided, built = [], []
+        placed_leq, atom_tables = rows.placed_leq, rows._atom_tables
 
-        def placed_leq(r1, r2, pattern):
+        def spy_placed_leq(r1, r2, pattern):
             decided.append(pattern)
             if not tick_on_rejection:
                 now[0] = 2.0
-            return rows.placed_leq(r1, r2, pattern)
+            return placed_leq(r1, r2, pattern)
 
-        def atom_tables(r1, r2):
-            built.append(rows.atom_tables(r1, r2))
+        def spy_atom_tables(r1, r2):
+            built.append(atom_tables(r1, r2))
             if tick_on_rejection and built[-1] is None:
                 now[0] = 2.0
             return built[-1]
 
-        monkeypatch.setattr(learner, "placed_leq", placed_leq)
-        monkeypatch.setattr(learner, "atom_tables", atom_tables)
+        monkeypatch.setattr(rows, "placed_leq", spy_placed_leq)
+        monkeypatch.setattr(rows, "_atom_tables", spy_atom_tables)
         t.deadline = 1.0
         yielded = []
         with pytest.raises(OutOfTime):
@@ -190,11 +195,11 @@ class TestOrderedPairsDeadline:
         t = table_for("Ld", length=2, columns=["a(0) a(0)"])
         label = parse_word("a(0) a(1)")
         r = t.row(label).reduced()
-        tables = rows.atom_tables(r, r)
+        tables = rows._atom_tables(r, r)
         placements = list(partial_injections(range(2), range(2)))
         admitted = [
             inj for inj in placements
-            if rows.admits(tables, landing([inj.get(b) for b in r.support], r.support))
+            if rows._admits(tables, landing([inj.get(b) for b in r.support], r.support))
         ]
         assert (len(placements), len(admitted)) == (7, 2)
         decided, _, _ = self.walk_past_deadline(t, [label], monkeypatch)
@@ -456,8 +461,8 @@ class TestAtomTablesInSearches:
         hyp = t.build_hypothesis(verify_preconditions=False).automaton
         assert hyp.transitions
         # tables that admit every placement give the full listing
-        monkeypatch.setattr(learner, "atom_tables", lambda r1, r2: ())
-        monkeypatch.setattr(learner, "admits", lambda tables, pattern: True)
+        monkeypatch.setattr(rows, "_atom_tables", lambda r1, r2: ())
+        monkeypatch.setattr(rows, "_admits", lambda tables, pattern: True)
         full = t.build_hypothesis(verify_preconditions=False).automaton
         assert automaton.render(full) == automaton.render(hyp)
 

@@ -10,14 +10,15 @@ from nomres.rows import (
     ColumnError,
     ColumnSet,
     Row,
+    _admits,
+    _atom_tables,
     _survivors,
-    admits,
-    atom_tables,
     dedup_by_orbit,
     in_family_orbit,
     is_generated_by,
     is_join_irreducible,
     join_below,
+    placed_below,
     placed_leq,
     row_eq,
     row_leq,
@@ -172,6 +173,15 @@ class TestRowOrder:
             r.value(parse_word("a(1)"))
         with pytest.raises(ColumnError):
             r.entries
+
+    @pytest.mark.parametrize("compare", [row_leq, row_eq], ids=["leq", "eq"])
+    def test_rows_over_different_column_sets_are_refused(self, compare):
+        # both rows hold eps; r2's basis also has a(0) on a fresh atom,
+        # which r1's lacks, so its bits cannot be read on r2's basis
+        r1 = Row(EMPTY_WORD, (), 1, ColumnSet())
+        r2 = Row(EMPTY_WORD, (), 0b01, columns_upto("a(0)"))
+        with pytest.raises(ValueError, match="different column sets"):
+            compare(r1, r2)
 
     def test_transitivity_on_random_rows(self):
         cs = lattice_columns()
@@ -549,8 +559,8 @@ PLACEMENT_IDS = ["lattice", "a0-a1", "a0-a1-a0"]
 
 
 class TestPlacementMaps:
-    """Flat maps assembled from column-block maps, and verdicts walked
-    block by block, against the joint-basis construction."""
+    """Flat maps assembled from column-block maps, and the verdicts read
+    off them, against the joint-basis construction."""
 
     @pytest.mark.parametrize("columns", PLACEMENT_COLUMNS, ids=PLACEMENT_IDS)
     def test_assembled_maps_match_reference(self, columns):
@@ -563,15 +573,15 @@ class TestPlacementMaps:
                 ), (n1, n2, pattern)
 
     @pytest.mark.parametrize("columns", PLACEMENT_COLUMNS, ids=PLACEMENT_IDS)
-    def test_block_walk_agrees_with_flat_map(self, columns):
+    def test_placed_leq_matches_reference_cold_and_warm(self, columns):
         cs = columns()
         rng = random.Random(43)
         rows = [wide_random_row(rng, cs) for _ in range(14)]
         for r1, r2, pattern, equal, expected in placed_pairs(rows):
             cs._maps.clear()
-            assert placed_leq(r1, r2, pattern, equal) == expected  # block walk
+            assert placed_leq(r1, r2, pattern, equal) == expected  # builds the map
             cs.placement_map(len(r1.support), len(r2.support), pattern)
-            assert placed_leq(r1, r2, pattern, equal) == expected  # flat map
+            assert placed_leq(r1, r2, pattern, equal) == expected  # cached map
 
     def test_add_clears_flat_maps_and_keeps_block_maps(self):
         cs = columns_upto("a(0) a(1)")
@@ -639,7 +649,8 @@ class TestAtomTables:
     """The per-atom tables admit exactly the placements whose atom-free
     and one-atom column blocks pass, read off the joint-basis reference
     map; admitting first and then asking `placed_leq` keeps exactly the
-    reference's true placements, in `partial_injections` order."""
+    reference's true placements, in `partial_injections` order, and so
+    does `placed_below`."""
 
     @staticmethod
     def check_rows(rows):
@@ -651,7 +662,7 @@ class TestAtomTables:
         seen = {"none": 0, "admitted": 0, "rejected": 0}
         for r2 in rows:
             n2 = len(r2.support)
-            tables = {id(r1): atom_tables(r1, r2) for r1 in rows}
+            tables = {id(r1): _atom_tables(r1, r2) for r1 in rows}
             seen["none"] += sum(tb is None for tb in tables.values())
             kept = {id(r1): [] for r1 in rows}
             expected = {id(r1): [] for r1 in rows}
@@ -669,7 +680,7 @@ class TestAtomTables:
                         if len(r1.support) != n1:
                             continue
                         tb = tables[id(r1)]
-                        passes = tb is not None and admits(tb, pattern)
+                        passes = tb is not None and _admits(tb, pattern)
                         assert passes == (not r1.bits & low & bad), (r1, r2, pattern)
                         seen["admitted" if passes else "rejected"] += 1
                         if passes and placed_leq(r1, r2, pattern):
@@ -677,6 +688,12 @@ class TestAtomTables:
                         if not r1.bits & bad:
                             expected[id(r1)].append(pattern)
             assert kept == expected, r2
+            for r1 in rows:
+                listing = (
+                    (tuple(inj.items()),) * 2
+                    for inj in partial_injections(range(len(r1.support)), range(n2))
+                )
+                assert list(placed_below(r1, r2, listing)) == expected[id(r1)], (r1, r2)
         return seen
 
     @pytest.mark.parametrize("columns", PLACEMENT_COLUMNS, ids=PLACEMENT_IDS)
