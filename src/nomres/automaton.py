@@ -21,9 +21,11 @@ has one canonical form, and a frontier holds at most
 A run along one word (`accepts`, `run_frontier`) also knows the rest of
 the word: a read atom that does not occur again is demoted to None,
 which no later letter matches and no later atom resolves.
-`accepts_each` walks a whole orbit enumeration instead, one step per
-word from its prefix's frontier; it cannot see the rest of a word, so
-it demotes nothing, and it makes each distinct step once per walk.
+`accepts_each` walks a prefix tree of word orbits instead, as
+`word_orbit_tree` lists it: each word steps once from the frontier of
+its parent's index, and only one length's frontiers are kept.  It
+cannot see the rest of a word, so it demotes nothing, and it makes
+each distinct step, with its verdict, once per walk.
 `accepts` keeps no such memo: a command-line membership query parses
 its automaton afresh, so none of its steps repeats.
 """
@@ -426,41 +428,48 @@ def accepts(aut: SymbolicAutomaton, w: Word) -> bool:
     return any(state in aut.final for state, _ in _run(aut, w))
 
 
-def accepts_each(aut: SymbolicAutomaton, words):
+def accepts_each(aut: SymbolicAutomaton, words, parents):
     """Yield accepts(aut, w) for each w of words, one step per word.
 
     words must list canonical word-orbit representatives by
-    nondecreasing length, each after its prefix one letter shorter, as
-    enumerate_word_orbits lists them.  Each word steps once from its
-    prefix's frontier, and only the frontiers of the previous length are
-    kept.  The rest of a word is unknown here, so no atom is demoted.
+    nondecreasing length, starting with the empty word, and
+    ``words[parents[i]]`` must be ``words[i][:-1]`` for every i > 0, as
+    `word_orbit_tree` gives them.  Word i steps once from the frontier
+    of word parents[i], and only the frontiers of the previous length
+    are kept.  The rest of a word is unknown here, so no atom is
+    demoted.
 
     Many words share a step: the prefix's frontier, the letter and the
     number of atoms the prefix read fix the fresh atoms and the kept
-    ones, hence the next frontier.  Each distinct step is made once per
-    call, in a memo that ends with the call.
+    ones, hence the next frontier and its verdict.  Each distinct step
+    is made once per call, in a memo that ends with the call.
     """
     depth = len(words[-1]) if words else 0
-    steps = {}  # (prefix frontier, letter, atoms the prefix read) -> frontier
-    prev, cur, length = {}, {}, 0
-    for w in words:
+    # (prefix frontier, letter, atoms the prefix read)
+    #   -> (frontier, atoms read, accepted)
+    steps = {}
+    frontier = _initial_frontier(aut)
+    node = (frontier, 0, any(state in aut.final for state, _ in frontier))
+    prev, cur, base, start, length = [], [], 0, 0, 0
+    for i, w in enumerate(words):
         if len(w) != length:
-            prev, cur, length = cur, {}, len(w)
+            prev, cur, base, start, length = cur, [], start, i, len(w)
         if w:
-            prefix, read = prev[w[:-1]]
+            frontier, read, _ = prev[parents[i] - base]
             letter = w[-1]
-            key = (prefix, letter, read)
-            # canonical atoms: the prefix read 0 .. read-1
-            fresh = [a for a in letter.atoms if a >= read]
-            read += len(set(fresh))
-            frontier = steps.get(key)
-            if frontier is None:
-                frontier = steps[key] = _step(aut, prefix, letter, fresh, range(read))
-        else:
-            frontier, read = _initial_frontier(aut), 0
+            key = (frontier, letter, read)
+            node = steps.get(key)
+            if node is None:
+                # canonical atoms: the prefix read 0 .. read-1
+                fresh = [a for a in letter.atoms if a >= read]
+                read += len(set(fresh))
+                frontier = _step(aut, frontier, letter, fresh, range(read))
+                node = steps[key] = (
+                    frontier, read, any(state in aut.final for state, _ in frontier)
+                )
         if length < depth:
-            cur[w] = (frontier, read)
-        yield any(state in aut.final for state, _ in frontier)
+            cur.append(node)
+        yield node[2]
 
 
 # -- structural checks and constructions -------------------------------------

@@ -388,6 +388,35 @@ class Hypothesis:
         return len(self.automaton.states)
 
 
+def _prefix_closure(words):
+    """The prefix closure of canonical words, shortest first, and each
+    word's parent index, as `accepts_each` takes them.
+
+    Each length keeps its prefixes in the order they go in.  A prefix
+    goes in after its parent and records the parent's index within the
+    length before; laying the lengths end to end makes the indices
+    global."""
+    levels = [{EMPTY_WORD: 0}]  # per length: prefix -> its index there
+    links = [[-1]]  # per length: each prefix's parent index, one length up
+    for w in words:
+        while len(levels) <= len(w):
+            levels.append({})
+            links.append([])
+        n = len(w)
+        while w[:n] not in levels[n]:
+            n -= 1  # the shorter prefixes are in already
+        up = levels[n][w[:n]]
+        for n in range(n + 1, len(w) + 1):
+            links[n].append(up)
+            up = levels[n][w[:n]] = len(links[n]) - 1
+    closure, parents, base = [], [], 0
+    for level, ups in zip(levels, links):
+        parents.extend(base + up for up in ups)
+        base = len(closure)
+        closure.extend(level)
+    return closure, parents
+
+
 def hypothesis_agreement_violations(table: ObservationTable, hyp: Hypothesis):
     """Pairs (s, e) with s in S where simulating the hypothesis does not
     reproduce the table entry.  Empty for every hypothesis built from a
@@ -401,14 +430,8 @@ def hypothesis_agreement_violations(table: ObservationTable, hyp: Hypothesis):
         for s in table.s_labels()
         for e in table.columns.instances(s.atoms())
     ]
-    closure = {}
-    for _, _, key in cells:
-        for i in range(len(key), -1, -1):
-            if key[:i] in closure:
-                break  # so are its shorter prefixes
-            closure[key[:i]] = None
-    words = sorted(closure, key=len)
-    accepted = dict(zip(words, accepts_each(hyp.automaton, words)))
+    words, parents = _prefix_closure(key for _, _, key in cells)
+    accepted = dict(zip(words, accepts_each(hyp.automaton, words, parents)))
     return [(s, e) for s, e, key in cells if accepted[key] != table.answers[key]]
 
 

@@ -12,8 +12,10 @@ form: atoms relabelled 0, 1, 2, ... in order of first occurrence, which
 makes orbit equality a plain ``==``.  A-orbits (renamings that fix a
 finite atom set A pointwise) keep the atoms of A and relabel the rest to
 fresh indices above max(A).  Orbits of bounded-length words are
-enumerated per tag sequence through set partitions of the atom slots,
-one orbit per equality pattern.
+enumerated as a prefix tree: every representative of length n + 1 is a
+representative of length n extended by one letter whose atoms continue
+its restricted-growth labelling, and each word records its parent's
+index.
 """
 
 from __future__ import annotations
@@ -200,26 +202,24 @@ def canonicalize_with_perm(w: Word):
     return pattern, dict(zip(pattern.atoms(), w.atoms()))
 
 
-def set_partition_labels(n: int):
+def set_partition_labels(n: int, used: int = 0):
     """All canonical labelings of n slots, one per set partition.
 
-    Yields restricted-growth tuples: label 0 first, and each label at
-    most one above the running maximum.  Lexicographic order.
+    Yields restricted-growth tuples: each label at most the number of
+    labels used so far, starting from ``used`` labels (0 .. used-1)
+    already taken by what comes before.  Lexicographic order.
     """
-    if n == 0:
-        yield ()
-        return
     out = [0] * n
 
-    def rec(i, mx):
+    def rec(i, used):
         if i == n:
             yield tuple(out)
             return
-        for v in range(mx + 2):
+        for v in range(used + 1):
             out[i] = v
-            yield from rec(i + 1, max(mx, v))
+            yield from rec(i + 1, max(used, v + 1))
 
-    yield from rec(1, 0)
+    yield from rec(0, used)
 
 
 def partial_injections(src, tgt):
@@ -246,29 +246,48 @@ def count_partial_permutations(k: int) -> int:
 # A learning run enumerates S at its length l, S.Sigma at l + 1 and the
 # equivalence depth; one more entry keeps the equivalence depth when S
 # grows by a length.  A process that learns many targets keeps no more.
+# An entry is the words and each word's parent index, 4 bytes a word,
+# read-only since every caller shares it.
 @lru_cache(maxsize=4)
 def _word_orbits(alphabet: AlphabetSpec, max_len: int):
-    out = [EMPTY_WORD]
-    tags = tuple(sorted(alphabet.tags))
+    words = [EMPTY_WORD]
+    size = count_word_orbits(alphabet, max_len)
+    parents = memoryview(bytearray(4 * size)).cast("i")
+    parents[0] = -1
+    used = [0]  # atoms of each word of the last length: labels 0 .. used-1
+    tags = sorted(alphabet.tags)
     # one Letter object per letter, shared by every word that contains
     # it: less memory, and equal prefixes compare by identity
     shared = {}
-    for n in range(1, max_len + 1):
-        for tag_seq in itertools.product(tags, repeat=n):
-            arities = [alphabet.arity(t) for t in tag_seq]
-            total = sum(arities)
-            for labels in set_partition_labels(total):
-                letters = []
-                pos = 0
-                for tag, ar in zip(tag_seq, arities):
-                    key = (tag, labels[pos : pos + ar])
-                    letter = shared.get(key)
-                    if letter is None:
-                        letter = shared[key] = Letter(*key)
-                    letters.append(letter)
-                    pos += ar
-                out.append(Word(letters))
-    return tuple(out)
+    # (tag, atoms used) -> (extension letters, atoms used after each)
+    extensions = {}
+    groups = [range(1)]  # the words of one tag sequence, of the last length
+    for n in range(max_len):
+        base = groups[0].start
+        longer, longer_used = [], []
+        for group in groups:
+            for tag in tags:
+                start = len(words)
+                for i in group:
+                    k = used[i - base]
+                    if (tag, k) not in extensions:
+                        labelings = list(set_partition_labels(alphabet.arity(tag), k))
+                        extensions[tag, k] = (
+                            [shared.setdefault((tag, labels), Letter(tag, labels))
+                             for labels in labelings],
+                            [max(k, max(labels, default=-1) + 1)
+                             for labels in labelings],
+                        )
+                    letters, after = extensions[tag, k]
+                    w = words[i]
+                    for letter in letters:
+                        parents[len(words)] = i
+                        words.append(Word((*w, letter)))
+                    if n + 1 < max_len:  # the last length extends nothing
+                        longer_used += after
+                longer.append(range(start, len(words)))
+        groups, used = longer, longer_used
+    return tuple(words), parents.toreadonly()
 
 
 def enumerate_word_orbits(alphabet: AlphabetSpec, max_len: int):
@@ -276,6 +295,17 @@ def enumerate_word_orbits(alphabet: AlphabetSpec, max_len: int):
 
     Ordered by length, then tag sequence, then equality pattern; the
     order is fixed so that learner runs are reproducible.
+    """
+    return word_orbit_tree(alphabet, max_len)[0]
+
+
+def word_orbit_tree(alphabet: AlphabetSpec, max_len: int):
+    """``enumerate_word_orbits(alphabet, max_len)`` and each word's parent.
+
+    The parents are a read-only buffer of 4-byte ints (a memoryview of
+    format ``'i'``), with ``words[parents[i]] == words[i][:-1]`` for
+    every i > 0 and -1 for the empty word.  Every parent comes before
+    its children.
     """
     if max_len < 0:
         raise ValueError("max_len must be non-negative")

@@ -8,19 +8,21 @@ is sound, and complete only for the words it looked at.  Checking one
 representative per orbit suffices because both languages are
 equivariant.
 
-The walk shares prefixes: every automaton involved (the hypothesis, and
+The walk shares prefixes: the enumeration is a prefix tree
+(`word_orbit_tree`), and every automaton involved (the hypothesis, and
 the target when it is an automaton) steps each word once from the
-frontier of its prefix one letter shorter, keeping the frontiers of one
-length only, and makes each distinct (frontier, letter, atoms read)
-step once per query (see `accepts_each`).  The words are still checked
-in enumeration order, so the counterexample is the same as a
-word-by-word scan finds: the shortest disagreeing word, then the first
+frontier of its parent's index, keeping the frontiers of one length
+only, and makes each distinct (frontier, letter, atoms read) step once
+per query (see `accepts_each`).  The words are still checked in
+enumeration order, and the walks are generators, so the query stops at
+the first disagreement: the counterexample is the same as a
+word-by-word scan finds, the shortest disagreeing word, then the first
 in enumeration order.
 """
 
 from __future__ import annotations
 
-from .orbits import AlphabetSpec, Word, enumerate_word_orbits
+from .orbits import AlphabetSpec, Word, word_orbit_tree
 from .automaton import accepts, accepts_each
 from . import corpus
 
@@ -44,11 +46,11 @@ class MembershipOracle:
             return accepts(self._automaton, w)
         return bool(self._predicate(w))
 
-    def evaluate_each(self, words):
-        """Uncounted evaluation of every word of an orbit enumeration,
-        in order (see `accepts_each`)."""
+    def evaluate_each(self, words, parents):
+        """Uncounted evaluation of every word of a prefix tree of word
+        orbits, in order (see `accepts_each`)."""
         if self._automaton is not None:
-            return accepts_each(self._automaton, words)
+            return accepts_each(self._automaton, words, parents)
         return (bool(self._predicate(w)) for w in words)
 
     def member(self, w: Word) -> bool:
@@ -70,10 +72,11 @@ class EquivalenceOracle:
         """None when the automaton ``hypothesis`` agrees on every orbit up to
         the depth, else the shortest (then enumeration-first) disagreeing word."""
         self.query_count += 1
-        words = enumerate_word_orbits(self.target.alphabet, self.depth)
-        accepted = accepts_each(hypothesis, words)
-        for w, expected, got in zip(words, self.target.evaluate_each(words), accepted):
-            if expected != got:
+        words, parents = word_orbit_tree(self.target.alphabet, self.depth)
+        expected = self.target.evaluate_each(words, parents)
+        accepted = accepts_each(hypothesis, words, parents)
+        for w, want, got in zip(words, expected, accepted):
+            if want != got:
                 return w
         return None
 

@@ -3,7 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nomres.orbits import AlphabetSpec, Letter, Word, enumerate_word_orbits, parse_word
+from nomres.orbits import (
+    AlphabetSpec,
+    Letter,
+    Word,
+    enumerate_word_orbits,
+    parse_word,
+    word_orbit_tree,
+)
 from nomres.automaton import (
     AlphabetMismatchError,
     AutomatonFormatError,
@@ -18,13 +25,14 @@ from nomres.automaton import (
     run_frontier,
     universal_automaton,
 )
-from nomres import automaton, corpus
+from nomres import automaton, corpus, learner
 
 from conftest import random_automaton
 
 LD = corpus.get("Ld").automaton
 LN = corpus.get("Ln").automaton
 LNGR = corpus.get("Lngr").automaton
+CORPUS_NAMES = ["Ld", "Lngr", "Ln", "Lr", "Lng", "Compress", "Ak:1", "Ak:2", "Ak:3"]
 
 
 def perms(max_atom=6):
@@ -140,8 +148,8 @@ class TestAcceptance:
         for text in ("a(0) c a(0)", "a(0) c a(1)"):
             assert accepts(aut, parse_word(text))
         assert not accepts(aut, parse_word("a(0) c"))
-        words = enumerate_word_orbits(aut.alphabet, 3)
-        walked = dict(zip(words, accepts_each(aut, words)))
+        words, parents = word_orbit_tree(aut.alphabet, 3)
+        walked = dict(zip(words, accepts_each(aut, words, parents)))
         assert walked[parse_word("a(0) c a(0)")] and walked[parse_word("a(0) c a(1)")]
 
     def test_alphabet_mismatch(self):
@@ -168,12 +176,12 @@ class TestAcceptance:
 
 
 class TestWalk:
-    """accepts_each steps every word once from its prefix's frontier and
+    """accepts_each steps every word once from its parent's frontier and
     demotes nothing; accepts runs each word alone and demotes the atoms
     that do not occur again.  Both must give the same verdicts."""
 
     @staticmethod
-    def assert_walk_agrees(aut, depth):
+    def assert_walk_agrees(aut, words, parents):
         """The walk and the per-word runs agree, and no step of either
         makes a frontier larger than canonical form allows: each register
         holds a kept read atom, None or the marker its slot order fixes,
@@ -189,25 +197,75 @@ class TestWalk:
             assert len(nxt) <= len(aut.states) * (len(keep) + 2) ** max_dim
             return nxt
 
-        words = enumerate_word_orbits(aut.alphabet, depth)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(automaton, "_step", bounded)
-            walked = list(accepts_each(aut, words))
+            walked = list(accepts_each(aut, words, parents))
             assert len(walked) == len(words)
             for w, verdict in zip(words, walked):
                 assert verdict == accepts(aut, w), w.render()
         assert sizes
 
-    @pytest.mark.parametrize(
-        "name", ["Ld", "Lngr", "Ln", "Lr", "Lng", "Compress", "Ak:1", "Ak:2", "Ak:3"]
-    )
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
     def test_corpus_to_length_five(self, name):
-        self.assert_walk_agrees(corpus.get(name).automaton, 5)
+        aut = corpus.get(name).automaton
+        self.assert_walk_agrees(aut, *word_orbit_tree(aut.alphabet, 5))
 
     def test_random_automata_to_length_four(self):
         rng = random.Random(4242)
         for _ in range(50):
-            self.assert_walk_agrees(random_automaton(rng), 4)
+            aut = random_automaton(rng)
+            self.assert_walk_agrees(aut, *word_orbit_tree(aut.alphabet, 4))
+
+    @pytest.mark.parametrize(
+        "name, length, columns",
+        [("Lr", 2, ["a(0) a(1) a(0)", "anc(0) a(0)"]),
+         ("Ak:2", 2, ["a(0) a(0)", "a(0) a(1) a(2)"])],
+        ids=["Lr", "Ak:2"],
+    )
+    def test_agreement_closure(self, name, length, columns):
+        """The prefix closure of a table's cell words, as the agreement
+        check builds it: shortest first, but not in enumeration order,
+        with each word after its parent.  Every corpus automaton over
+        the alphabet walks it as it runs each word alone."""
+        alphabet = corpus.get(name).automaton.alphabet
+        table = learner.ObservationTable(alphabet)
+        for c in columns:
+            table.columns.add(parse_word(c))
+        table.length = length
+        keys = [
+            s + e for s in table.s_labels() for e in table.columns.instances(s.atoms())
+        ]
+        words, parents = learner._prefix_closure(keys)
+        assert set(keys) <= set(words) and len(set(words)) == len(words)
+        assert words[0] == Word() and parents[0] == -1
+        for i in range(1, len(words)):
+            assert parents[i] < i and words[parents[i]] == words[i][:-1]
+        lengths = [len(w) for w in words]
+        assert lengths == sorted(lengths)
+        rank = {
+            w: i for i, w in enumerate(enumerate_word_orbits(alphabet, lengths[-1]))
+        }
+        ranks = [rank[w] for w in words]
+        assert ranks != sorted(ranks)
+        walked = 0
+        for aut in (corpus.get(n).automaton for n in CORPUS_NAMES):
+            if aut.alphabet == alphabet:
+                self.assert_walk_agrees(aut, words, parents)
+                walked += 1
+        assert walked
+
+    def test_repointed_parent_is_caught(self):
+        """The walk trusts the parents: one entry pointed at another word
+        of the same length gives a verdict the per-word run does not."""
+        aut = LNGR
+        words, parents = word_orbit_tree(aut.alphabet, 3)
+        self.assert_walk_agrees(aut, words, parents)
+        bad = list(parents)
+        bad[words.index(parse_word("a(0) a(1) a(2)"))] = words.index(
+            parse_word("a(0) a(0)")
+        )
+        with pytest.raises(AssertionError, match=r"a\(0\) a\(1\) a\(2\)"):
+            self.assert_walk_agrees(aut, words, bad)
 
     def test_one_step_per_distinct_key(self, monkeypatch):
         """The prefix's frontier, the letter and the atoms the prefix read
@@ -221,8 +279,8 @@ class TestWalk:
 
         monkeypatch.setattr(automaton, "_step", spy)
         aut = corpus.get("Ak:3").automaton
-        words = enumerate_word_orbits(aut.alphabet, 5)
-        list(accepts_each(aut, words))
+        words, parents = word_orbit_tree(aut.alphabet, 5)
+        list(accepts_each(aut, words, parents))
         # one word is empty, so a walk without the memo makes 1,954 steps
         assert len(words) == 1955
         assert len(keys) == len(set(keys)) == 342

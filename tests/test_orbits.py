@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,8 +18,10 @@ from nomres.orbits import (
     parse_word,
     set_partition_labels,
     split_into_a_orbits,
+    word_orbit_tree,
     _word_orbits,
 )
+from nomres import corpus
 from conftest import (
     brute_orbit_count,
     brute_partial_injection_count,
@@ -40,6 +44,33 @@ def perms(max_atom=6):
     return st.permutations(list(range(max_atom))).map(
         lambda img: dict(zip(range(len(img)), img))
     )
+
+
+def reference_word_orbits(alphabet, max_len):
+    """The orbit enumeration by its definition: for each length, each tag
+    sequence in order, and each set partition of all its atom slots."""
+    out = [EMPTY_WORD]
+    tags = sorted(alphabet.tags)
+    for n in range(1, max_len + 1):
+        for tag_seq in itertools.product(tags, repeat=n):
+            arities = [alphabet.arity(t) for t in tag_seq]
+            for labels in set_partition_labels(sum(arities)):
+                letters = []
+                pos = 0
+                for tag, ar in zip(tag_seq, arities):
+                    letters.append(Letter(tag, labels[pos : pos + ar]))
+                    pos += ar
+                out.append(Word(letters))
+    return tuple(out)
+
+
+# the deepest enumeration the tests make of each target's alphabet:
+# Ak:3's acceptance depth, the walk tests' 5 on the rest of the Ak
+# alphabet, and 8, cheap, on the one-tag alphabet
+REFERENCE_DEPTHS = {
+    "Ld": 8, "Lngr": 8, "Ln": 8, "Lng": 8, "Compress": 8,
+    "Lr": 5, "Ak:1": 5, "Ak:2": 5, "Ak:3": 7,
+}
 
 
 class TestWordBasics:
@@ -186,6 +217,32 @@ class TestEnumeration:
             if first:
                 assert count_word_orbits(alphabet, first - 1, bound) == full[first - 1]
 
+    @pytest.mark.parametrize(
+        "alphabet, depth",
+        [
+            pytest.param(DEFAULT_ALPHABET, 8, id="default"),
+            # nullary and binary tags
+            pytest.param(
+                AlphabetSpec([("a", 1), ("b", 2), ("c", 0)]), 4, id="a1-b2-c0"
+            ),
+        ]
+        + [
+            pytest.param(corpus.get(name).automaton.alphabet, depth, id=name)
+            for name, depth in REFERENCE_DEPTHS.items()
+        ],
+    )
+    def test_prefix_tree_matches_reference(self, alphabet, depth):
+        """The prefix-extension enumeration lists the reference's words in
+        the reference's order, and every word's parent is its prefix."""
+        words, parents = word_orbit_tree(alphabet, depth)
+        assert words == reference_word_orbits(alphabet, depth)
+        assert enumerate_word_orbits(alphabet, depth) is words
+        assert len(parents) == len(words) == count_word_orbits(alphabet, depth)
+        assert parents[0] == -1
+        assert all(words[parents[i]] == words[i][:-1] for i in range(1, len(words)))
+        with pytest.raises(TypeError):  # every caller shares the cached entry
+            parents[-1] = 0
+
     def test_enumeration_cache_is_bounded(self):
         """The cache keeps a learning run's working set (S, S.Sigma and
         the equivalence depth) and no more, however many lengths are
@@ -215,6 +272,9 @@ class TestEnumeration:
         assert list(set_partition_labels(0)) == [()]
         assert list(set_partition_labels(2)) == [(0, 0), (0, 1)]
         assert len(list(set_partition_labels(4))) == 15
+        # continuing a labelling that already uses labels 0 and 1
+        assert list(set_partition_labels(1, 2)) == [(0,), (1,), (2,)]
+        assert len(list(set_partition_labels(2, 1))) == 5
 
     def test_letter_patterns(self):
         pats = letter_patterns("f", 2)

@@ -1,15 +1,21 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nomres.orbits import Letter, Word, enumerate_word_orbits, parse_word
-from nomres.automaton import accepts, universal_automaton, parse
+from nomres.orbits import (
+    Letter,
+    Word,
+    enumerate_word_orbits,
+    parse_word,
+    word_orbit_tree,
+)
+from nomres.automaton import accepts, accepts_each, universal_automaton, parse
 from nomres.teacher import (
     EquivalenceOracle,
     MembershipOracle,
     for_corpus,
     for_language,
 )
-from nomres import corpus
+from nomres import automaton, corpus
 
 
 def perms(max_atom=5):
@@ -148,6 +154,31 @@ class TestEquivalenceWalk:
                 continue
             got = EquivalenceOracle(target, 4).equivalent(hyp)
             assert got == self.plain_scan(target, hyp, 4), (name, target_name)
+
+
+    def test_stops_at_the_first_disagreement(self, monkeypatch):
+        """The walks are generators, so the query stops at its
+        counterexample: a hypothesis wrong at length 1 makes fewer steps
+        than its full walk to the oracle's depth."""
+        entry = corpus.get("Ld")
+        hyp = entry.automaton
+        target = MembershipOracle(
+            hyp.alphabet, predicate=lambda w: len(w) == 1 or entry.predicate(w)
+        )
+        steps = []
+        step = automaton._step
+
+        def spy(aut, *args):
+            if aut is hyp:
+                steps.append(args)
+            return step(aut, *args)
+
+        monkeypatch.setattr(automaton, "_step", spy)
+        list(accepts_each(hyp, *word_orbit_tree(hyp.alphabet, 5)))
+        full = len(steps)
+        steps.clear()
+        assert EquivalenceOracle(target, 5).equivalent(hyp) == parse_word("a(0)")
+        assert len(steps) < full
 
 
 class TestTeacherFactories:
