@@ -9,7 +9,13 @@ Order is pointwise implication, joins are pointwise union, and
 everything quantifying over "all renamings of a row" boils down to
 finitely many placement patterns of its support.  Orbit identity is one
 canonical key per row (`Row.orbit_key`): two rows are renamings of each
-other exactly when their keys are equal.
+other exactly when their keys are equal.  The key is the least image of
+the reduced row under the bijections of its support that list its atoms
+by signature, per-atom bit counts that a renaming carries along with
+each atom (`_atom_classes`), so every row of an orbit minimises over the
+same images.  Only the atoms of equal signature are permuted, and a
+class of them that the row cannot tell apart, because swapping any two
+fixes the row, is listed in one order: the others give the same image.
 
 A placement is a plain dict {own atom: placed atom}, injective on the
 support of the row it places.  Whether a placed copy of r1 sits below
@@ -127,14 +133,23 @@ class ColumnSet:
 
     def _block(self, k: int, n: int) -> tuple:
         """The shapes of a k-atom column orbit's instances on n support
-        atoms, in order, and {shape: index}; -1 marks an atom outside."""
+        atoms, in order, {shape: index}, and ``masks[p][i]``, the
+        instances whose shape puts atom i at position p; -1 marks an
+        atom outside."""
         cached = self._blocks.get((k, n))
         if cached is None:
             shapes = tuple(
                 tuple(inj.get(b, -1) for b in range(k))
                 for inj in partial_injections(range(k), range(n))
             )
-            cached = self._blocks[k, n] = (shapes, {s: i for i, s in enumerate(shapes)})
+            masks = [[0] * n for _ in range(k)]
+            for s, shape in enumerate(shapes):
+                for p, i in enumerate(shape):
+                    if i >= 0:
+                        masks[p][i] |= 1 << s
+            cached = self._blocks[k, n] = (
+                shapes, {s: i for i, s in enumerate(shapes)}, tuple(map(tuple, masks))
+            )
         return cached
 
     def _layout(self, n: int) -> tuple:
@@ -322,20 +337,30 @@ class Row:
     def orbit_key(self) -> tuple:
         """The canonical identity of the row's orbit under renaming.
 
-        The least bit mask of the reduced row over all bijections of its
-        support onto itself, with the support size.  Bases of equally
-        large supports list their instances in the same order, so two
-        reduced rows are renamings of each other exactly when some
-        bijection of their supports maps one onto the other, that is,
-        when their keys are equal.
+        The least bit mask of the reduced row over the bijections of its
+        support onto itself that list its atoms in signature order
+        (`_atom_classes`), with the support size.  Bases of equally
+        large supports list their instances in the same order, and a
+        renaming carries each atom's signature to its image, so every
+        row of an orbit has the same set of such images and two reduced
+        rows are renamings of each other exactly when their keys are
+        equal.  The atoms of a class that the row does not tell apart
+        are placed in one order only: its other orders give the same
+        image.
         """
         _check_current(self)
         if self._key is None:
             r = self.reduced()
             n = len(r.support)
+            choices = [
+                [atoms] if fixed else itertools.permutations(atoms)
+                for atoms, fixed in _atom_classes(r)
+            ]
+            # the s-th atom of a listing goes to atom s
+            listings = (sum(orders, ()) for orders in itertools.product(*choices))
             ups = (
-                self.columns.placement_map(n, n, tuple(enumerate(image)))[0]
-                for image in itertools.permutations(range(n))
+                self.columns.placement_map(n, n, tuple(sorted(zip(atoms, range(n)))))[0]
+                for atoms in listings
             )
             self._key = (n, min(_spread(r.bits, up) for up in ups))
         return self._key
@@ -350,6 +375,45 @@ class Row:
 
     def __repr__(self):
         return f"Row({self.owner.render()!r}: {self.render()})"
+
+
+def _atom_classes(r: Row) -> list:
+    """The atoms 0..n-1 of a reduced row's support in classes of equal
+    signature, in signature order, each with whether the row is fixed by
+    every permutation of the class.
+
+    Atom i's signature counts, per column block and position p of its
+    shapes, the row's set bits whose shape puts atom i at p; a renaming
+    keeps each count and moves it to the image of i.  A class is
+    interchangeable when the row is fixed by swapping the class's first
+    atom with each of the others: those swaps generate every
+    permutation of the class, and are generators of the row's
+    stabiliser.
+    """
+    cs = r.columns
+    n = len(r.support)
+    signatures = [[] for _ in range(n)]
+    for k, o, m in cs._layout(n):
+        b = r.bits >> o & m
+        if k and b and b != m:  # an empty or full block counts the same for every atom
+            for masks in cs._block(k, n)[2]:
+                for i, mask in enumerate(masks):
+                    signatures[i].append((b & mask).bit_count())
+    ranked = sorted(range(n), key=signatures.__getitem__)
+    classes = []
+    for _, group in itertools.groupby(ranked, key=signatures.__getitem__):
+        atoms = tuple(group)
+        fixed = all(
+            _spread(r.bits, cs.placement_map(n, n, _swap(n, atoms[0], a))[0]) == r.bits
+            for a in atoms[1:]
+        )
+        classes.append((atoms, fixed))
+    return classes
+
+
+def _swap(n: int, a: int, b: int) -> tuple:
+    """The placement pattern of n atoms onto themselves that swaps a and b."""
+    return tuple((i, b if i == a else a if i == b else i) for i in range(n))
 
 
 def _check_current(*rows):

@@ -11,6 +11,7 @@ from nomres.rows import (
     ColumnSet,
     Row,
     _admits,
+    _atom_classes,
     _atom_tables,
     _survivors,
     dedup_by_orbit,
@@ -224,6 +225,17 @@ def same_orbit(r1, r2):
     )
 
 
+def reference_orbit_key(r):
+    """The least bit mask of the reduced row over all n! bijections of
+    its support, with the support size n."""
+    r = r.reduced()
+    n = len(r.support)
+    return n, min(
+        spread_bits(r.bits, r.columns.placement_map(n, n, tuple(enumerate(image)))[0])
+        for image in itertools.permutations(range(n))
+    )
+
+
 def filled_table(name, length, columns):
     entry = corpus.get(name)
     oracle = MembershipOracle(
@@ -319,6 +331,22 @@ class TestOrbitKey:
             for b in rows:
                 assert (a.orbit_key() == b.orbit_key()) == same_orbit(a, b)
 
+    @pytest.mark.parametrize(
+        "name,length,columns,widest",
+        [("Ln", 5, ["a(0) a(0)"], 6), ("Lng", 4, ["a(0) a(0) a(0) a(1)"], 5)],
+        ids=["Ln", "Lng"],
+    )
+    def test_table_rows_split_as_reference_key(self, name, length, columns, widest):
+        # Ln's rows have one class of fully interchangeable atoms; Lng's
+        # split into classes, some of them not interchangeable
+        t = filled_table(name, length, columns)
+        rows = [t.row(label) for label in t.all_labels()]
+        keys = {(r.orbit_key(), reference_orbit_key(r)) for r in rows}
+        assert max(n for (n, _), _ in keys) == widest
+        # equal keys exactly when equal reference keys
+        news, refs = zip(*keys)
+        assert len(set(news)) == len(keys) == len(set(refs))
+
     def test_invariant_under_renaming(self):
         rng = random.Random(41)
         cs = columns_upto("a(0) a(1) a(0)")
@@ -337,6 +365,56 @@ class TestOrbitKey:
         cs.add(parse_word("a(0) a(0)"))
         with pytest.raises(ColumnError):
             r.orbit_key()  # memoised, but for the old basis
+
+
+def graph_row(columns, support, edges, marked=()):
+    """A row holding the column a(x) a(y) for each edge (x, y) and a(x)
+    for each marked x."""
+    bits = {f"a({x}) a({y})": True for x, y in edges}
+    bits.update({f"a({x})": True for x in marked})
+    return make_row(columns, frozenset(support), bits)
+
+
+class TestAtomClasses:
+    """Rows read as directed graphs on their support, every atom with one
+    edge out and one in, so that the signatures do not tell atoms apart
+    that the row does: the key must search each such class."""
+
+    # a 3-cycle on 0, 1, 2 and a 2-cycle on 3, 4
+    CYCLES = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 3)]
+    GRAPHS = [
+        (range(4), [(0, 1), (1, 2), (2, 3), (3, 0)], ()),  # a 4-cycle
+        (range(4), [(0, 1), (1, 0), (2, 3), (3, 2)], ()),  # two 2-cycles
+        (range(5), CYCLES, (3, 4)),  # the 2-cycle marked: two classes
+        (range(5), CYCLES, (0, 3)),  # one atom of each cycle marked
+        (range(5), CYCLES, (0, 1)),
+    ]
+
+    def test_classes(self):
+        cs = columns_upto("a(0) a(1)")
+        classes = [_atom_classes(graph_row(cs, *g)) for g in self.GRAPHS]
+        assert classes == [
+            [((0, 1, 2, 3), False)],
+            [((0, 1, 2, 3), False)],
+            [((0, 1, 2), False), ((3, 4), True)],
+            [((1, 2, 4), False), ((0, 3), False)],
+            [((2, 3, 4), False), ((0, 1), False)],
+        ]
+
+    def test_keys_match_reference(self):
+        cs = columns_upto("a(0) a(1)")
+        rng = random.Random(61)
+        rows = [graph_row(cs, *g) for g in self.GRAPHS]
+        rows += [
+            r.apply_perm(dict(zip(r.support, rng.sample(range(9), len(r.support)))))
+            for r in rows * 2
+        ]
+        references = [reference_orbit_key(r) for r in rows]
+        for a, ref_a in zip(rows, references):
+            for b, ref_b in zip(rows, references):
+                same = same_orbit(a, b)
+                assert (a.orbit_key() == b.orbit_key()) == same, (a, b)
+                assert (ref_a == ref_b) == same
 
 
 class TestReducedReference:
