@@ -21,11 +21,12 @@ has one canonical form, and a frontier holds at most
 A run along one word (`accepts`, `run_frontier`) also knows the rest of
 the word: a read atom that does not occur again is demoted to None,
 which no later letter matches and no later atom resolves.
-`accepts_each` walks a prefix tree of word orbits instead, as
-`word_orbit_tree` lists it: each word steps once from the frontier of
-its parent's index, and only one length's frontiers are kept.  It
-cannot see the rest of a word, so it demotes nothing, and it makes
-each distinct step, with its verdict, once per walk.
+`accepts_each` walks a prefix tree of word orbits instead, any list
+that puts each word after its parent (as `word_orbit_tree` does):
+each word steps once from the frontier of its parent's index, and
+every word's frontier is kept until the walk ends.  It cannot see the
+rest of a word, so it demotes nothing, and it makes each distinct
+step, with its verdict, once per walk.
 `accepts` keeps no such memo: a command-line membership query parses
 its automaton afresh, so none of its steps repeats.
 """
@@ -82,7 +83,7 @@ class TransitionLine:
 class _CompiledLine:
     """A transition line pre-chewed for the simulator."""
 
-    __slots__ = ("dst", "reg_ops", "new_pos", "dup_ops", "dst_ops", "guess_count")
+    __slots__ = ("dst", "reg_ops", "new_pos", "dup_ops", "picks", "guess_count")
 
     def __init__(self, line: TransitionLine):
         self.dst = line.dst
@@ -100,18 +101,14 @@ class _CompiledLine:
         self.reg_ops = tuple(reg_ops)
         self.new_pos = tuple(new_pos)
         self.dup_ops = tuple(dup_ops)
-        guesses = {}
-        dst_ops = []
-        for v in line.dst_vars:
-            if v in src_pos:
-                dst_ops.append(("reg", src_pos[v]))
-            elif v in seen_letter:
-                dst_ops.append(("let", seen_letter[v]))
-            else:
-                if v not in guesses:
-                    guesses[v] = len(guesses)
-                dst_ops.append(("guess", guesses[v]))
-        self.dst_ops = tuple(dst_ops)
+        # each variable's index in regs + atoms + guesses, the one pool
+        # that destination registers pick from
+        pool = dict(src_pos)
+        pool.update((v, len(src_pos) + j) for v, j in seen_letter.items())
+        guesses = [v for v in line.dst_vars if v not in pool]
+        base = len(src_pos) + len(line.letter_vars)
+        pool.update((v, base + g) for g, v in enumerate(guesses))
+        self.picks = tuple(pool[v] for v in line.dst_vars)
         self.guess_count = len(guesses)
 
     def fire(self, regs, atoms, fresh=()):
@@ -145,27 +142,19 @@ class _CompiledLine:
         """All destination register tuples.  A guess takes an atom of keep
         (read, and still of use) or a new marker."""
         if self.guess_count == 0:
-            return [
-                tuple([regs[a] if k == "reg" else atoms[a] for k, a in self.dst_ops])
-            ]
-        candidates = [a for a in keep if a not in regs and a not in atoms]
-        return [
-            tuple(
-                [
-                    regs[a] if k == "reg" else atoms[a] if k == "let" else chosen[a]
-                    for k, a in self.dst_ops
-                ]
-            )
-            for chosen in _distinct_choices(candidates, -1 - len(regs), self.guess_count)
-        ]
+            pool = regs + atoms
+            return [tuple([pool[p] for p in self.picks])]
+        pools = _with_guesses(regs + atoms, keep, -1 - len(regs), self.guess_count)
+        return [tuple([pool[p] for p in self.picks]) for pool in pools]
 
 
-def _distinct_choices(candidates, marker_base, n):
-    """Tuples of n pairwise-distinct values from candidates plus new markers."""
+def _with_guesses(pool, candidates, marker_base, n):
+    """pool extended by n values, pairwise distinct and not in pool, from
+    candidates plus new markers."""
     if n == 0:
-        yield ()
+        yield pool
         return
-    for rest in _distinct_choices(candidates, marker_base - 1, n - 1):
+    for rest in _with_guesses(pool, candidates, marker_base - 1, n - 1):
         for c in candidates:
             if c not in rest:
                 yield rest + (c,)
@@ -431,31 +420,28 @@ def accepts(aut: SymbolicAutomaton, w: Word) -> bool:
 def accepts_each(aut: SymbolicAutomaton, words, parents):
     """Yield accepts(aut, w) for each w of words, one step per word.
 
-    words must list canonical word-orbit representatives by
-    nondecreasing length, starting with the empty word, and
-    ``words[parents[i]]`` must be ``words[i][:-1]`` for every i > 0, as
-    `word_orbit_tree` gives them.  Word i steps once from the frontier
-    of word parents[i], and only the frontiers of the previous length
-    are kept.  The rest of a word is unknown here, so no atom is
-    demoted.
+    words lists canonical word-orbit representatives, each after its
+    parent: ``parents[i] < i`` and ``words[parents[i]] == words[i][:-1]``
+    for every nonempty word i, as `word_orbit_tree` gives them.  Word i
+    steps once from the node of word parents[i]; the empty word takes
+    the initial node.  Every word's node is kept until the call ends.
+    The rest of a word is unknown here, so no atom is demoted.
 
     Many words share a step: the prefix's frontier, the letter and the
     number of atoms the prefix read fix the fresh atoms and the kept
     ones, hence the next frontier and its verdict.  Each distinct step
     is made once per call, in a memo that ends with the call.
     """
-    depth = len(words[-1]) if words else 0
     # (prefix frontier, letter, atoms the prefix read)
     #   -> (frontier, atoms read, accepted)
     steps = {}
     frontier = _initial_frontier(aut)
-    node = (frontier, 0, any(state in aut.final for state, _ in frontier))
-    prev, cur, base, start, length = [], [], 0, 0, 0
+    root = (frontier, 0, any(state in aut.final for state, _ in frontier))
+    nodes = []
     for i, w in enumerate(words):
-        if len(w) != length:
-            prev, cur, base, start, length = cur, [], start, i, len(w)
+        node = root
         if w:
-            frontier, read, _ = prev[parents[i] - base]
+            frontier, read, _ = nodes[parents[i]]
             letter = w[-1]
             key = (frontier, letter, read)
             node = steps.get(key)
@@ -467,8 +453,7 @@ def accepts_each(aut: SymbolicAutomaton, words, parents):
                 node = steps[key] = (
                     frontier, read, any(state in aut.final for state, _ in frontier)
                 )
-        if length < depth:
-            cur.append(node)
+        nodes.append(node)
         yield node[2]
 
 

@@ -389,32 +389,20 @@ class Hypothesis:
 
 
 def _prefix_closure(words):
-    """The prefix closure of canonical words, shortest first, and each
-    word's parent index, as `accepts_each` takes them.
-
-    Each length keeps its prefixes in the order they go in.  A prefix
-    goes in after its parent and records the parent's index within the
-    length before; laying the lengths end to end makes the indices
-    global."""
-    levels = [{EMPTY_WORD: 0}]  # per length: prefix -> its index there
-    links = [[-1]]  # per length: each prefix's parent index, one length up
+    """The prefix closure of canonical words, and each word's parent
+    index, as `accepts_each` takes them: prefixes in the order they are
+    first seen, each after its parent."""
+    index = {EMPTY_WORD: 0}  # prefix -> its place in the closure
+    parents = [-1]
     for w in words:
-        while len(levels) <= len(w):
-            levels.append({})
-            links.append([])
         n = len(w)
-        while w[:n] not in levels[n]:
+        while w[:n] not in index:
             n -= 1  # the shorter prefixes are in already
-        up = levels[n][w[:n]]
+        up = index[w[:n]]
         for n in range(n + 1, len(w) + 1):
-            links[n].append(up)
-            up = levels[n][w[:n]] = len(links[n]) - 1
-    closure, parents, base = [], [], 0
-    for level, ups in zip(levels, links):
-        parents.extend(base + up for up in ups)
-        base = len(closure)
-        closure.extend(level)
-    return closure, parents
+            parents.append(up)
+            up = index[w[:n]] = len(parents) - 1
+    return list(index), parents
 
 
 def hypothesis_agreement_violations(table: ObservationTable, hyp: Hypothesis):
@@ -423,8 +411,8 @@ def hypothesis_agreement_violations(table: ObservationTable, hyp: Hypothesis):
     join-closed, join-consistent table.
 
     Every prefix of a canonical word is canonical, so the hypothesis
-    walks the prefix closure of the cells' canonical words, shortest
-    first, in one `accepts_each` call."""
+    walks the prefix closure of the cells' canonical words in one
+    `accepts_each` call."""
     cells = [
         (s, e, s + e)
         for s in table.s_labels()

@@ -11,9 +11,9 @@ equivariant.
 The walk shares prefixes: the enumeration is a prefix tree
 (`word_orbit_tree`), and every automaton involved (the hypothesis, and
 the target when it is an automaton) steps each word once from the
-frontier of its parent's index, keeping the frontiers of one length
-only, and makes each distinct (frontier, letter, atoms read) step once
-per query (see `accepts_each`).  The words are still checked in
+frontier of its parent's index, keeping every word's frontier until
+the query ends, and makes each distinct (frontier, letter, atoms read)
+step once per query (see `accepts_each`).  The words are still checked in
 enumeration order, and the walks are generators, so the query stops at
 the first disagreement: the counterexample is the same as a
 word-by-word scan finds, the shortest disagreeing word, then the first

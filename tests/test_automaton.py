@@ -15,6 +15,7 @@ from nomres.automaton import (
     AlphabetMismatchError,
     AutomatonFormatError,
     StateOrbit,
+    TransitionLine,
     accepts,
     accepts_each,
     anchor,
@@ -175,6 +176,26 @@ class TestAcceptance:
         assert frontier == frozenset({("q1", (-1,))})
 
 
+class TestCompiledLine:
+    def test_picks_index_regs_then_atoms_then_guesses(self):
+        """A destination register reads a source register, a letter atom
+        or a guess, through one index into regs + atoms + guesses."""
+        line = automaton._CompiledLine(
+            TransitionLine("p", ("x", "y"), "a", ("z",), "q", ("g", "x", "z", "h"))
+        )
+        assert line.picks == (3, 0, 2, 4)
+        assert line.guess_count == 2
+        regs, atoms = (5, -1), (7,)
+        # with no atom to keep, each guess is a new marker
+        assert line.successors(regs, atoms, ()) == [(-4, 5, 7, -3)]
+        # 5 and 7 are in regs or atoms, so only 3 can be guessed
+        assert line.successors(regs, atoms, (3, 5, 7)) == [
+            (3, 5, 7, -3),
+            (-4, 5, 7, 3),
+            (-4, 5, 7, -3),
+        ]
+
+
 class TestWalk:
     """accepts_each steps every word once from its parent's frontier and
     demotes nothing; accepts runs each word alone and demotes the atoms
@@ -224,9 +245,9 @@ class TestWalk:
     )
     def test_agreement_closure(self, name, length, columns):
         """The prefix closure of a table's cell words, as the agreement
-        check builds it: shortest first, but not in enumeration order,
-        with each word after its parent.  Every corpus automaton over
-        the alphabet walks it as it runs each word alone."""
+        check builds it: not in enumeration order, but with each word
+        after its parent.  Every corpus automaton over the alphabet
+        walks it as it runs each word alone."""
         alphabet = corpus.get(name).automaton.alphabet
         table = learner.ObservationTable(alphabet)
         for c in columns:
@@ -240,11 +261,8 @@ class TestWalk:
         assert words[0] == Word() and parents[0] == -1
         for i in range(1, len(words)):
             assert parents[i] < i and words[parents[i]] == words[i][:-1]
-        lengths = [len(w) for w in words]
-        assert lengths == sorted(lengths)
-        rank = {
-            w: i for i, w in enumerate(enumerate_word_orbits(alphabet, lengths[-1]))
-        }
+        depth = max(len(w) for w in words)
+        rank = {w: i for i, w in enumerate(enumerate_word_orbits(alphabet, depth))}
         ranks = [rank[w] for w in words]
         assert ranks != sorted(ranks)
         walked = 0
@@ -253,6 +271,34 @@ class TestWalk:
                 self.assert_walk_agrees(aut, words, parents)
                 walked += 1
         assert walked
+
+    @staticmethod
+    def preorder(words, parents):
+        """The same tree listed depth-first: each word, then all of its
+        descendants, with the parents renumbered to match."""
+        children = [[] for _ in words]
+        for i in range(1, len(words)):
+            children[parents[i]].append(i)
+        order, todo = [], [0]
+        while todo:
+            i = todo.pop()
+            order.append(i)
+            todo.extend(reversed(children[i]))
+        place = {i: n for n, i in enumerate(order)}
+        return [words[i] for i in order], [-1] + [place[parents[i]] for i in order[1:]]
+
+    def test_parents_first_in_any_order(self):
+        """The walk needs only each parent before its children: a
+        depth-first listing, which mixes lengths, walks as the per-word
+        runs do."""
+        corpus_auts = [corpus.get(name).automaton for name in CORPUS_NAMES]
+        rng = random.Random(4242)
+        random_auts = [random_automaton(rng) for _ in range(50)]
+        for aut in corpus_auts + random_auts:
+            words, parents = self.preorder(*word_orbit_tree(aut.alphabet, 4))
+            lengths = [len(w) for w in words]
+            assert lengths != sorted(lengths)
+            self.assert_walk_agrees(aut, words, parents)
 
     def test_repointed_parent_is_caught(self):
         """The walk trusts the parents: one entry pointed at another word

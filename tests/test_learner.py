@@ -1,3 +1,4 @@
+import hashlib
 import time
 from types import SimpleNamespace
 
@@ -13,9 +14,10 @@ from nomres.orbits import (
     parse_word,
     partial_injections,
     split_into_a_orbits,
+    word_orbit_tree,
 )
 from nomres import automaton, rows
-from nomres.automaton import accepts
+from nomres.automaton import accepts, accepts_each
 from nomres.learner import (
     LearnBudget,
     ObservationTable,
@@ -749,6 +751,27 @@ class TestLearnLoop:
             teacher = for_corpus(name, eq_depth=6)
             result = learn(teacher, LearnBudget(max_equivalence=20, max_length=4))
             assert result.stats.final_l == corpus.get(name).char_length
+
+    def test_ak4_guessing_hypothesis(self):
+        """Ak:4 learns the largest guessing hypothesis of the corpus
+        targets, 124 lines over 2 state orbits (the corpus automaton has
+        9), and it agrees with the language on every orbit to depth 6."""
+        result = learn(for_corpus("Ak:4", eq_depth=5),
+                       LearnBudget(max_equivalence=40, max_length=6))
+        st = result.stats
+        assert (st.membership_queries, st.equivalence_queries, st.final_l) == (
+            30019, 1, 4
+        )
+        assert st.agreement_violations == 0
+        aut = result.hypothesis.automaton
+        assert (len(aut.states), len(aut.transitions)) == (2, 124)
+        digest = hashlib.sha256(automaton.render(aut).encode()).hexdigest()
+        assert digest.startswith("31f6d9aabbd5265d")
+        words, parents = word_orbit_tree(aut.alphabet, 6)
+        assert len(words) == 14947
+        predicate = corpus.get("Ak:4").predicate
+        walked = accepts_each(aut, words, parents)
+        assert all(got == bool(predicate(w)) for w, got in zip(words, walked))
 
     def test_divergence_on_ln(self):
         teacher = for_corpus("Ln", eq_depth=5)
