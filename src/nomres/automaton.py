@@ -19,8 +19,8 @@ has one canonical form, and a frontier holds at most
 |states| * (atoms read + 2) ** (largest dimension) configurations.
 
 A run along one word (`accepts`, `run_frontier`) also knows the rest of
-the word: a read atom that does not occur again is demoted to None,
-which no later letter matches and no later atom resolves.
+the word: once a read atom's last occurrence has passed, it is demoted
+to None, which no later letter matches and no later atom resolves.
 `accepts_each` walks a prefix tree of word orbits instead, any list
 that puts each word after its parent (as `word_orbit_tree` does):
 each word steps once from the frontier of its parent's index, and
@@ -341,11 +341,6 @@ def _markers(dimension):
 def _canon(regs, keep):
     """Markers renumbered -1, -2, ... in slot order; read atoms outside
     keep demoted to None."""
-    for v in regs:
-        if v is None or v < 0 or v not in keep:
-            break
-    else:
-        return regs
     out = []
     marker = -1
     for v in regs:
@@ -389,17 +384,20 @@ def _initial_frontier(aut):
 
 
 def _run(aut, w):
-    """The frontier after w.  Knowing the rest of the word, each step
-    demotes the atoms that do not occur again."""
-    rest = [frozenset()] * (len(w) + 1)
-    for i in range(len(w) - 1, -1, -1):
-        rest[i] = rest[i + 1] | frozenset(w[i].atoms)
+    """The frontier after w.  Knowing where each atom occurs last, each
+    step keeps only the read atoms that occur again."""
+    last = {a: i for i, letter in enumerate(w) for a in letter.atoms}
     frontier = _initial_frontier(aut)
-    read = set()
+    live = set()  # the read atoms that occur again
     for i, letter in enumerate(w):
-        fresh = [a for a in letter.atoms if a not in read]
-        read.update(fresh)
-        frontier = _step(aut, frontier, letter, fresh, read & rest[i + 1])
+        # an atom read before and occurring here is still live
+        fresh = [a for a in letter.atoms if a not in live]
+        for a in letter.atoms:
+            if last[a] == i:
+                live.discard(a)
+            else:
+                live.add(a)
+        frontier = _step(aut, frontier, letter, fresh, live)
     return frontier
 
 

@@ -105,9 +105,6 @@ class ObservationTable:
         oracle = oracle or self.oracle
         if oracle is None:
             raise ValueError("no membership oracle")
-        state = (self.length, self.columns.version)
-        if self._filled_at == state:
-            return self
         rows = {}
         for label in self.all_labels():
             _check_deadline(self.deadline)
@@ -117,7 +114,7 @@ class ObservationTable:
                 lambda e, label=label: self._answer(oracle, label + e),
             )
         self._rows = rows
-        self._filled_at = state
+        self._filled_at = (self.length, self.columns.version)
         self._fill_caches()
         return self
 
@@ -134,8 +131,7 @@ class ObservationTable:
         re-based on its least support (placements stay cheap that way)."""
         self._require_filled()
         pattern, perm = canonicalize_with_perm(w)
-        base = self._rows[pattern].reduced()
-        return base if pattern == w else base.apply_perm(perm)
+        return self._rows[pattern].reduced().apply_perm(perm)
 
     def _extension_pattern(self, label: Word, letter):
         """row_of(label + letter) without building it: the least-support
@@ -265,8 +261,6 @@ class ObservationTable:
         for s in self.s_labels():
             first.setdefault(self._extension_class(s), s)
         for s1, s2c in self._ordered_pairs(first.values()):
-            if s2c == s1:
-                continue
             joint = frozenset(s1.atoms()) | frozenset(s2c.atoms())
             for letter in self._letters(joint):
                 # row_of(s1 + letter) <= row_of(s2c + letter), decided on

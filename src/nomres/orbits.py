@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from functools import lru_cache
 from math import comb, factorial
 from typing import NamedTuple
 
@@ -243,22 +242,31 @@ def count_partial_permutations(k: int) -> int:
     return sum(comb(k, i) ** 2 * factorial(i) for i in range(k + 1))
 
 
-# A learning run enumerates S at its length l, S.Sigma at l + 1 and the
-# equivalence depth; one more entry keeps the equivalence depth when S
-# grows by a length.  A process that learns many targets keeps no more.
-# An entry is the words and each word's parent index, 4 bytes a word,
-# read-only since every caller shares it.
-@lru_cache(maxsize=4)
-def _word_orbits(alphabet: AlphabetSpec, max_len: int):
+def enumerate_word_orbits(alphabet: AlphabetSpec, max_len: int):
+    """One canonical representative per orbit of words of length <= max_len.
+
+    Ordered by length, then tag sequence, then equality pattern; the
+    order is fixed so that learner runs are reproducible.
+    """
+    return word_orbit_tree(alphabet, max_len)[0]
+
+
+def word_orbit_tree(alphabet: AlphabetSpec, max_len: int):
+    """``enumerate_word_orbits(alphabet, max_len)`` and each word's parent.
+
+    The parents are a buffer of 4-byte ints (a memoryview of format
+    ``'i'``), with ``words[parents[i]] == words[i][:-1]`` for every
+    i > 0 and -1 for the empty word.  Every parent comes before its
+    children.
+    """
+    if max_len < 0:
+        raise ValueError("max_len must be non-negative")
     words = [EMPTY_WORD]
     size = count_word_orbits(alphabet, max_len)
     parents = memoryview(bytearray(4 * size)).cast("i")
     parents[0] = -1
     used = [0]  # atoms of each word of the last length: labels 0 .. used-1
     tags = sorted(alphabet.tags)
-    # one Letter object per letter, shared by every word that contains
-    # it: less memory, and equal prefixes compare by identity
-    shared = {}
     # (tag, atoms used) -> (extension letters, atoms used after each)
     extensions = {}
     groups = [range(1)]  # the words of one tag sequence, of the last length
@@ -273,8 +281,7 @@ def _word_orbits(alphabet: AlphabetSpec, max_len: int):
                     if (tag, k) not in extensions:
                         labelings = list(set_partition_labels(alphabet.arity(tag), k))
                         extensions[tag, k] = (
-                            [shared.setdefault((tag, labels), Letter(tag, labels))
-                             for labels in labelings],
+                            [Letter(tag, labels) for labels in labelings],
                             [max(k, max(labels, default=-1) + 1)
                              for labels in labelings],
                         )
@@ -287,29 +294,7 @@ def _word_orbits(alphabet: AlphabetSpec, max_len: int):
                         longer_used += after
                 longer.append(range(start, len(words)))
         groups, used = longer, longer_used
-    return tuple(words), parents.toreadonly()
-
-
-def enumerate_word_orbits(alphabet: AlphabetSpec, max_len: int):
-    """One canonical representative per orbit of words of length <= max_len.
-
-    Ordered by length, then tag sequence, then equality pattern; the
-    order is fixed so that learner runs are reproducible.
-    """
-    return word_orbit_tree(alphabet, max_len)[0]
-
-
-def word_orbit_tree(alphabet: AlphabetSpec, max_len: int):
-    """``enumerate_word_orbits(alphabet, max_len)`` and each word's parent.
-
-    The parents are a read-only buffer of 4-byte ints (a memoryview of
-    format ``'i'``), with ``words[parents[i]] == words[i][:-1]`` for
-    every i > 0 and -1 for the empty word.  Every parent comes before
-    its children.
-    """
-    if max_len < 0:
-        raise ValueError("max_len must be non-negative")
-    return _word_orbits(alphabet, max_len)
+    return tuple(words), parents
 
 
 def count_word_orbits(alphabet: AlphabetSpec, max_len: int, stop_above=None) -> int:

@@ -26,8 +26,9 @@ lands outside supp(r2), where any fresh atom does the same.
 A basis is one block per column orbit (`ColumnSet`).  A check
 (`placed_leq`) reads the flat map of its pattern, the block maps shifted
 into place, which the column set caches for every later check and
-spread.  No word is built; a concrete witness column is found by one
-loop over joint column instances (`first_difference`).
+spread until the columns grow.  No word is built; a concrete witness
+column is found by one loop over joint column instances
+(`first_difference`).
 
 The atom-free and one-atom blocks are decided per atom, once per row
 pair (`_atom_tables`).  The atom-free blocks do not depend on the
@@ -80,12 +81,11 @@ class ColumnSet:
 
     The basis of a row on support A is ``instances(A)``: the A-orbits of
     each column orbit in turn, as `split_into_a_orbits` lists them.  A
-    column orbit with k atoms has one block, whose shapes (`_block`) and
-    maps (`_block_map`) depend only on k, the support sizes and the
-    pattern, not on E, so they stay for the life of the column set.
-    Block offsets (`_layout`), instances and flat maps (`placement_map`,
-    assembled from the block maps) hold for the current version only:
-    adding a column orbit clears them.
+    column orbit with k atoms has one block, whose shapes (`_block`)
+    depend only on k and the support size, not on E, so they stay for
+    the life of the column set.  Block offsets (`_layout`), instances
+    and flat maps (`placement_map`, assembled from block maps) hold for
+    the current version only: adding a column orbit clears them.
     """
 
     def __init__(self):
@@ -96,7 +96,6 @@ class ColumnSet:
         self._layouts = {}
         self._maps = {}
         self._blocks = {}
-        self._block_maps = {}
         self.version = 0
         self.add(EMPTY_WORD)
 
@@ -180,25 +179,21 @@ class ColumnSet:
         orbit, with positions counted from each block's start."""
         if not k:
             return (1,), (1,)
-        key = (k, n1, n2, pattern)
-        cached = self._block_maps.get(key)
-        if cached is None:
-            # the joint support is 0..m-1: the target's atoms first, then
-            # the placed atoms that land outside it
-            inv = {j: i for i, j in pattern}
-            outside = [i for i in range(n1) if i not in inv.values()]
-            m = n2 + len(outside)
-            inv.update(zip(range(n2, m), outside))
-            own = self._block(k, n1)[1]
-            index = self._block(k, n2)[1]
-            up, down = [0] * len(own), [0] * len(index)
-            for shape in self._block(k, m)[0]:
-                i = own[tuple(inv.get(x, -1) for x in shape)]
-                j = index[tuple(x if x < n2 else -1 for x in shape)]
-                up[i] |= 1 << j
-                down[j] |= 1 << i
-            cached = self._block_maps[key] = (tuple(up), tuple(down))
-        return cached
+        # the joint support is 0..m-1: the target's atoms first, then the
+        # placed atoms that land outside it
+        inv = {j: i for i, j in pattern}
+        outside = [i for i in range(n1) if i not in inv.values()]
+        m = n2 + len(outside)
+        inv.update(zip(range(n2, m), outside))
+        own = self._block(k, n1)[1]
+        index = self._block(k, n2)[1]
+        up, down = [0] * len(own), [0] * len(index)
+        for shape in self._block(k, m)[0]:
+            i = own[tuple(inv.get(x, -1) for x in shape)]
+            j = index[tuple(x if x < n2 else -1 for x in shape)]
+            up[i] |= 1 << j
+            down[j] |= 1 << i
+        return up, down
 
     def placement_map(self, n1: int, n2: int, pattern: tuple):
         """How a placed row on n1 atoms meets a row on n2 atoms, cached.
@@ -209,14 +204,18 @@ class ColumnSet:
         the target basis positions that share a joint column instance
         with placed basis position i, and ``down[j]`` the placed
         positions sharing one with target position j: the block maps,
-        each shifted by the other side's offset.
+        each shifted by the other side's offset.  Column orbits with equal
+        k share one block map.
         """
         key = (n1, n2, pattern)
         cached = self._maps.get(key)
         if cached is None:
             up, down = [], []
+            blocks = {}
             for (k, o1, _), (_, o2, _) in zip(self._layout(n1), self._layout(n2)):
-                bup, bdown = self._block_map(k, n1, n2, pattern)
+                if k not in blocks:
+                    blocks[k] = self._block_map(k, n1, n2, pattern)
+                bup, bdown = blocks[k]
                 up += [mask << o2 for mask in bup]
                 down += [mask << o1 for mask in bdown]
             cached = self._maps[key] = (tuple(up), tuple(down))
@@ -395,10 +394,9 @@ def _atom_classes(r: Row) -> list:
     signatures = [[] for _ in range(n)]
     for k, o, m in cs._layout(n):
         b = r.bits >> o & m
-        if k and b and b != m:  # an empty or full block counts the same for every atom
-            for masks in cs._block(k, n)[2]:
-                for i, mask in enumerate(masks):
-                    signatures[i].append((b & mask).bit_count())
+        for masks in cs._block(k, n)[2]:
+            for i, mask in enumerate(masks):
+                signatures[i].append((b & mask).bit_count())
     ranked = sorted(range(n), key=signatures.__getitem__)
     classes = []
     for _, group in itertools.groupby(ranked, key=signatures.__getitem__):
@@ -519,15 +517,13 @@ def _admits(tables, pattern) -> bool:
 
 def _fits(b1: int, b2: int, up, down, equal) -> bool:
     """Is b1 below b2 (with ``equal``: equal to it) through ``(up, down)``?"""
-    return not _meets(b1, up, b2, down) and not (equal and _meets(b2, down, b1, up))
+    return not _meets(b1, up, b2) and not (equal and _meets(b2, down, b1))
 
 
-def _meets(b1: int, up, b2: int, down) -> bool:
+def _meets(b1: int, up, b2: int) -> bool:
     """Is some joint instance in b1 on one side and outside b2 on the
-    other?  Walks the sparser of b1 and the complement of b2."""
-    missing = ((1 << len(down)) - 1) & ~b2
-    if missing.bit_count() < b1.bit_count():
-        b1, up, missing = missing, down, b1
+    other?"""
+    missing = ~b2
     while b1:
         low = b1 & -b1
         if up[low.bit_length() - 1] & missing:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -330,6 +331,62 @@ class TestWalk:
         # one word is empty, so a walk without the memo makes 1,954 steps
         assert len(words) == 1955
         assert len(keys) == len(set(keys)) == 342
+
+
+def suffix_set_run(aut, w):
+    """The frontier after w, keeping one set of the atoms of each suffix
+    of w to tell which read atoms occur again."""
+    rest = [frozenset()] * (len(w) + 1)
+    for i in range(len(w) - 1, -1, -1):
+        rest[i] = rest[i + 1] | frozenset(w[i].atoms)
+    frontier = automaton._initial_frontier(aut)
+    read = set()
+    for i, letter in enumerate(w):
+        fresh = [a for a in letter.atoms if a not in read]
+        read.update(fresh)
+        frontier = automaton._step(aut, frontier, letter, fresh, read & rest[i + 1])
+    return frontier
+
+
+def random_word(rng, alphabet, n):
+    """n letters, tags uniform, atoms drawn from about n / 2 atoms."""
+    pool = max(1, n // 2)
+    return Word(
+        Letter(tag, tuple(rng.randrange(pool) for _ in range(alphabet.arity(tag))))
+        for tag in (rng.choice(alphabet.tags) for _ in range(n))
+    )
+
+
+class TestSingleWordRun:
+    """`_run` demotes each atom after its last occurrence."""
+
+    def test_memory_is_linear_in_the_word(self):
+        """A word of 2,000 distinct atoms: no set of atoms per position."""
+        w = Word(Letter("a", (i,)) for i in range(2000))
+        tracemalloc.start()
+        try:
+            assert not accepts(LD, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_long_words_match_suffix_sets(self, name):
+        """Seeded words of length 8 to 40: the same frontiers as the
+        suffix-set run, and the verdicts of the corpus predicate."""
+        entry = corpus.get(name)
+        aut = entry.automaton
+        rng = random.Random(f"long-words/{name}")
+        for n in range(8, 41):
+            w = random_word(rng, aut.alphabet, n)
+            frontier = suffix_set_run(aut, w)
+            assert automaton._run(aut, w) == frontier, w.render()
+            verdict = any(state in aut.final for state, _ in frontier)
+            assert accepts(aut, w) == verdict == bool(entry.predicate(w)), w.render()
+            assert run_frontier(aut, w) == frozenset(
+                (state, automaton._markers(len(regs))) for state, regs in frontier
+            )
 
 
 class TestStructuralChecks:

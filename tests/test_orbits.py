@@ -19,7 +19,6 @@ from nomres.orbits import (
     set_partition_labels,
     split_into_a_orbits,
     word_orbit_tree,
-    _word_orbits,
 )
 from nomres import corpus
 from conftest import (
@@ -236,30 +235,10 @@ class TestEnumeration:
         the reference's order, and every word's parent is its prefix."""
         words, parents = word_orbit_tree(alphabet, depth)
         assert words == reference_word_orbits(alphabet, depth)
-        assert enumerate_word_orbits(alphabet, depth) is words
+        assert enumerate_word_orbits(alphabet, depth) == words
         assert len(parents) == len(words) == count_word_orbits(alphabet, depth)
         assert parents[0] == -1
         assert all(words[parents[i]] == words[i][:-1] for i in range(1, len(words)))
-        with pytest.raises(TypeError):  # every caller shares the cached entry
-            parents[-1] = 0
-
-    def test_enumeration_cache_is_bounded(self):
-        """The cache keeps a learning run's working set (S, S.Sigma and
-        the equivalence depth) and no more, however many lengths are
-        enumerated."""
-        bound = _word_orbits.cache_info().maxsize
-        assert bound is not None and bound >= 3
-        for length in range(9):
-            enumerate_word_orbits(DEFAULT_ALPHABET, length)
-        assert _word_orbits.cache_info().currsize == bound
-        working_set = (3, 4, 6)
-        for length in working_set:
-            enumerate_word_orbits(DEFAULT_ALPHABET, length)
-        misses = _word_orbits.cache_info().misses
-        for _ in range(3):
-            for length in working_set:
-                enumerate_word_orbits(DEFAULT_ALPHABET, length)
-        assert _word_orbits.cache_info().misses == misses
 
     def test_each_representative_is_canonical_and_unique(self):
         seen = set()

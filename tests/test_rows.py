@@ -661,19 +661,16 @@ class TestPlacementMaps:
             cs.placement_map(len(r1.support), len(r2.support), pattern)
             assert placed_leq(r1, r2, pattern, equal) == expected  # cached map
 
-    def test_add_clears_flat_maps_and_keeps_block_maps(self):
+    def test_add_clears_flat_maps(self):
         cs = columns_upto("a(0) a(1)")
         rng = random.Random(47)
         rows = [wide_random_row(rng, cs) for _ in range(10)]
         for r1, r2 in itertools.product(rows, repeat=2):
             row_leq(r1, r2)
             row_eq(r1, r2)
-        assert cs._maps and cs._layouts and cs._block_maps
-        kept = dict(cs._block_maps)
+        assert cs._maps and cs._layouts
         cs.add(parse_word("a(0) a(0) a(1)"))
         assert not cs._maps and not cs._layouts
-        assert cs._block_maps.keys() == kept.keys()
-        assert all(cs._block_maps[key] is maps for key, maps in kept.items())
         rows = [wide_random_row(rng, cs) for _ in range(10)]
         for r1, r2, pattern, equal, expected in placed_pairs(rows):
             assert placed_leq(r1, r2, pattern, equal) == expected
