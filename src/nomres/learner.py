@@ -10,6 +10,16 @@ Cell words are canonical by construction: a label's atoms are 0..k-1,
 and `split_into_a_orbits` numbers its columns' fresh atoms k, k+1, ...
 by first occurrence, so ``label + e`` is its orbit's canonical word.
 `answers` is keyed by it, and has one entry per membership query.
+
+Join-consistency asks, for every placement pi with row(s1) <= pi.row(s2),
+whether row(s1.a) <= pi.row(s2.a) for every letter a.  Each label s of S
+has an extension row X(s) over a second column set, Sigma.E: the orbits
+of a.e for every letter a and column e, and, suffix-closed, those of E.
+Its cells s.a.e are cells of the extension labels s.a, so X(s) is read
+off `answers`.  X(s1) <= pi.X(s2) is the letter-by-letter check itself,
+so one comparison decides a placement; the letters are walked only at
+the first placement that fails, to name the letter and column of the
+defect as the search has always named them.
 """
 
 from __future__ import annotations
@@ -71,6 +81,9 @@ class ObservationTable:
         self.deadline = deadline
         self.length = 0  # S is every word orbit of length <= this
         self.columns = ColumnSet()
+        # Sigma.E, the orbits of a.e for every letter a and column e,
+        # grown with E (`fill`); its block shapes stay for the table's life
+        self._extended = ColumnSet()
         self.answers = {}
         self._rows = {}
         self._filled_at = None
@@ -79,8 +92,7 @@ class ObservationTable:
     def _fill_caches(self):
         self._family = None
         self._ji_cache = {}
-        self._extension_patterns = {}
-        self._letter_cache = {}
+        self._extension_rows = {}
 
     # -- labels ---------------------------------------------------------
 
@@ -105,6 +117,9 @@ class ObservationTable:
         oracle = oracle or self.oracle
         if oracle is None:
             raise ValueError("no membership oracle")
+        for letter in self._letters(frozenset()):
+            for e in self.columns.instances(letter.atoms):
+                self._extended.add(Word([letter]) + e)
         rows = {}
         for label in self.all_labels():
             _check_deadline(self.deadline)
@@ -136,14 +151,9 @@ class ObservationTable:
     def _extension_pattern(self, label: Word, letter):
         """row_of(label + letter) without building it: the least-support
         row of the canonical label, and the atoms its support stands for."""
-        key = (label, letter)
-        cached = self._extension_patterns.get(key)
-        if cached is None:
-            pattern, perm = canonicalize_with_perm(label + letter)
-            base = self._rows[pattern].reduced()
-            cached = (base, tuple(perm[a] for a in base.support))
-            self._extension_patterns[key] = cached
-        return cached
+        pattern, perm = canonicalize_with_perm(label + letter)
+        base = self._rows[pattern].reduced()
+        return base, tuple(perm[a] for a in base.support)
 
     # -- derived families -------------------------------------------------
 
@@ -192,31 +202,40 @@ class ObservationTable:
 
     # -- consistency ------------------------------------------------------
 
-    def _extension_class(self, s: Word) -> tuple:
-        """The extension class of a label of S, as a key tuple.
+    def _extension_row(self, s: Word) -> Row:
+        """X(s), the row of a label of S over Sigma.E, on all its atoms.
 
-        Labels share a class when they have as many atoms, the same
-        least-support row, and, letter by letter in `_letters` order,
-        the same least-support extension rows on the same atoms: labels
-        and their letters are canonical, so atoms need no re-indexing.
-        Every consistency verdict on a label pair depends only on the
-        two classes and the placement.
+        Each basis word c = a.e is canonical after s, so s + c is the
+        cell word (s + a) + e of the extension label s + a, which the
+        fill asked: X(s) asks no membership query.
         """
-        atoms = frozenset(s.atoms())
-        r = self._rows[s].reduced()
-        key = [len(atoms), r.bits, r.support]
-        for letter in self._letters(atoms):
-            base, image = self._extension_pattern(s, letter)
-            key.append((base.bits, image))
-        return tuple(key)
+        x = self._extension_rows.get(s)
+        if x is None:
+            x = self._extension_rows[s] = Row.build(
+                s, self._extended, lambda c: self.answers[s + c]
+            )
+        return x
+
+    def _extension_class(self, s: Word) -> tuple:
+        """The extension class of a label of S, as a key tuple: its atom
+        count and the bits of X(s).
+
+        Labels share a class when X(s) is one subset of Sigma.E on the
+        same atoms, that is when row(s) and, letter by letter, row(s.a)
+        are: Sigma.E holds E.  Labels and their letters are canonical,
+        so atoms need no re-indexing, and every consistency verdict on a
+        label pair depends only on the two classes and the placement.
+        """
+        x = self._extension_row(s)
+        return len(x.support), x.bits
 
     def _ordered_pairs(self, labels):
-        """Every (s1, s2c) with s1 in ``labels``, s2c a placement of some
-        s2 in ``labels`` relative to s1, and row(s1) <= row(s2c), in
-        search order; placements cover overlapping supports.  Raises
-        `OutOfTime` before a label pair (s1, s2), and before each
-        placement of it that the atom tables admit, once the table's
-        deadline has passed.
+        """Every (s1, s2, placement) with s1 and s2 in ``labels``,
+        ``placement`` a renaming of s2's atoms relative to s1, and
+        row(s1) <= row(s2.rename(placement)), in search order;
+        placements cover overlapping supports.  Raises `OutOfTime`
+        before a label pair (s1, s2), and before each placement of it
+        that the atom tables admit, once the table's deadline has passed.
 
         row(s1) <= inj.row(s2) iff inj^-1.row(s1) <= row(s2), which only
         depends on the two least-support rows and on where inj lands the
@@ -224,17 +243,14 @@ class ObservationTable:
         support is fixed by its size, so the placements of s2, each with
         the pattern it places row(s2) by, are listed once per pair of
         support sizes and least supports, and every label pair reads its
-        listing through `placed_below`; s2c is built only for the
-        placements it yields.
+        listing through `placed_below`.
         """
         placements = {}  # (k2, k1, least supports) -> [(pattern, injection)]
-        for s1 in labels:
-            sup1 = sorted(frozenset(s1.atoms()))
-            r1 = self._rows[s1].reduced()
-            for s2 in labels:
+        listed = [(s, sorted(frozenset(s.atoms())), self._rows[s].reduced())
+                  for s in labels]
+        for s1, sup1, r1 in listed:
+            for s2, sup2, r2 in listed:
                 _check_deadline(self.deadline)
-                sup2 = sorted(frozenset(s2.atoms()))
-                r2 = self._rows[s2].reduced()
                 key = (len(sup2), len(sup1), r2.support, r1.support)
                 if key not in placements:
                     placements[key] = []
@@ -243,12 +259,31 @@ class ObservationTable:
                         pattern = tuple(sorted((i, j) for j, i in land))
                         placements[key].append((pattern, inj))
                 for inj in placed_below(r1, r2, placements[key], self.deadline):
-                    yield s1, s2.rename(_realize(inj, sup2, sup1))
+                    yield s1, s2, _realize(inj, sup2, sup1)
+
+    def _extensions_below(self, s1: Word, s2: Word, placement) -> bool:
+        """Is row(s1.a) <= pi.row(s2.a) for every letter a, pi the
+        placement of s2?  X(s).(a.e) is row(s.a).e, so this is X(s1) <=
+        pi.X(s2): one comparison on the labels' full supports, whose
+        atoms are their own positions, so the pattern is the placement."""
+        x1, x2 = self._extension_row(s1), self._extension_row(s2)
+        # pi^-1 places X(s1): atom pi(j) of s1 lands on atom j of s2
+        pattern = tuple(sorted(
+            (i, j) for j, i in placement.items() if i in x1.support_set
+        ))
+        return placed_leq(x1, x2, pattern)
 
     def find_consistency_defect(self):
         """A tuple (s1, s2, a, e) with row(s1) <= row(s2) yet a.e telling
         their extensions apart: the first in search order.  Raises
         `OutOfTime` once the table's deadline has passed.
+
+        Each placement of a label pair is decided by one comparison of X
+        rows (`_extensions_below`).  Only the first placement that fails
+        is split letter by letter, one letter per joint orbit in search
+        order: the defect's a.e is the orbit E gains, and so decides the
+        rest of the run, and the first column where the X rows differ, in
+        the order of Sigma.E, need not be the first letter's first column.
 
         Labels of one extension class give the same verdict for every
         placement, so only the first label of each class is paired up:
@@ -260,7 +295,10 @@ class ObservationTable:
         first = {}
         for s in self.s_labels():
             first.setdefault(self._extension_class(s), s)
-        for s1, s2c in self._ordered_pairs(first.values()):
+        for s1, s2, placement in self._ordered_pairs(first.values()):
+            if self._extensions_below(s1, s2, placement):
+                continue
+            s2c = s2.rename(placement)
             joint = frozenset(s1.atoms()) | frozenset(s2c.atoms())
             for letter in self._letters(joint):
                 # row_of(s1 + letter) <= row_of(s2c + letter), decided on
@@ -275,15 +313,12 @@ class ObservationTable:
 
     def _letters(self, joint):
         """One letter per joint-orbit of letters, in search order."""
-        cached = self._letter_cache.get(joint)
-        if cached is None:
-            cached = self._letter_cache[joint] = [
-                inst[0]
-                for tag in sorted(self.alphabet.tags)
-                for base in letter_patterns(tag, self.alphabet.arity(tag))
-                for inst in split_into_a_orbits(Word([base]), joint)
-            ]
-        return cached
+        return [
+            inst[0]
+            for tag in sorted(self.alphabet.tags)
+            for base in letter_patterns(tag, self.alphabet.arity(tag))
+            for inst in split_into_a_orbits(Word([base]), joint)
+        ]
 
     def consistency_step(self, defect):
         """Add the orbit of a.e (and its suffixes, keeping E suffix-closed)."""

@@ -180,17 +180,20 @@ class ColumnSet:
         if not k:
             return (1,), (1,)
         # the joint support is 0..m-1: the target's atoms first, then the
-        # placed atoms that land outside it
-        inv = {j: i for i, j in pattern}
-        outside = [i for i in range(n1) if i not in inv.values()]
+        # placed atoms that land outside it.  placed[x] and target[x] are
+        # joint atom x's own atom on each side, -1 where it has none, and
+        # a shape's -1 reads their last entry, -1
+        landed = {j: i for i, j in pattern}
+        outside = [i for i in range(n1) if i not in landed.values()]
         m = n2 + len(outside)
-        inv.update(zip(range(n2, m), outside))
+        placed = [*map(landed.get, range(n2), [-1] * n2), *outside, -1].__getitem__
+        target = [*range(n2), *[-1] * (m - n2 + 1)].__getitem__
         own = self._block(k, n1)[1]
         index = self._block(k, n2)[1]
         up, down = [0] * len(own), [0] * len(index)
         for shape in self._block(k, m)[0]:
-            i = own[tuple(inv.get(x, -1) for x in shape)]
-            j = index[tuple(x if x < n2 else -1 for x in shape)]
+            i = own[tuple(map(placed, shape))]
+            j = index[tuple(map(target, shape))]
             up[i] |= 1 << j
             down[j] |= 1 << i
         return up, down
