@@ -515,6 +515,7 @@ def learn(teacher, budget: LearnBudget = None, log=None) -> LearnResult:
         emit("diverged" if hyp is None else "accepted")
         return LearnResult(hyp, stats)
 
+    consistent_at = None
     try:
         table.fill()
         while True:
@@ -532,7 +533,13 @@ def learn(teacher, budget: LearnBudget = None, log=None) -> LearnResult:
                     )
                     table.close_step(defect)
                     stats.closedness_rounds += 1
-                mismatch = table.find_consistency_defect()
+                # a search that found no defect holds until the table changes
+                state = (table.length, table.columns.version)
+                mismatch = None
+                if state != consistent_at:
+                    mismatch = table.find_consistency_defect()
+                    if mismatch is None:
+                        consistent_at = state
                 if mismatch is not None:
                     s1, s2, letter, e = mismatch
                     emit(

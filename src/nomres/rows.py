@@ -24,11 +24,13 @@ support land on which positions of r2's support.  Every other atom
 lands outside supp(r2), where any fresh atom does the same.
 
 A basis is one block per column orbit (`ColumnSet`).  A check
-(`placed_leq`) reads the flat map of its pattern, the block maps shifted
-into place, which the column set caches for every later check and
-spread until the columns grow.  No word is built; a concrete witness
-column is found by one loop over joint column instances
-(`first_difference`).
+(`placed_leq`) reads the flat map of its pattern, which the column set
+caches for every later check and spread until the columns grow.  Each
+entry of a flat map is computed from the shape of its own instance the
+first time something reads it (`_Half`): a check stops at its first
+failing bit, and only equality tests read the `down` half, so most
+entries are never built.  No word is built; a concrete witness column
+is found by one loop over joint column instances (`first_difference`).
 
 The atom-free and one-atom blocks are decided per atom, once per row
 pair (`_atom_tables`).  The atom-free blocks do not depend on the
@@ -83,9 +85,10 @@ class ColumnSet:
     each column orbit in turn, as `split_into_a_orbits` lists them.  A
     column orbit with k atoms has one block, whose shapes (`_block`)
     depend only on k and the support size, not on E, so they stay for
-    the life of the column set.  Block offsets (`_layout`), instances
-    and flat maps (`placement_map`, assembled from block maps) hold for
-    the current version only: adding a column orbit clears them.
+    the life of the column set.  Block offsets (`_layout`), each basis
+    position's orbit and index in its block (`_block_index`), instances
+    and flat maps (`placement_map`, built entry by entry) hold for the
+    current version only: adding a column orbit clears them.
     """
 
     def __init__(self):
@@ -94,6 +97,7 @@ class ColumnSet:
         self._ks = ()
         self._instances = {}
         self._layouts = {}
+        self._block_indices = {}
         self._maps = {}
         self._blocks = {}
         self.version = 0
@@ -110,6 +114,7 @@ class ColumnSet:
         self.version += 1
         self._instances.clear()
         self._layouts.clear()
+        self._block_indices.clear()
         self._maps.clear()
         return True
 
@@ -174,29 +179,17 @@ class ColumnSet:
         n = len(support)
         return self._layout(n)[p][1] + self._block(len(shape), n)[1][shape]
 
-    def _block_map(self, k: int, n1: int, n2: int, pattern: tuple):
-        """`placement_map` restricted to the blocks of a k-atom column
-        orbit, with positions counted from each block's start."""
-        if not k:
-            return (1,), (1,)
-        # the joint support is 0..m-1: the target's atoms first, then the
-        # placed atoms that land outside it.  placed[x] and target[x] are
-        # joint atom x's own atom on each side, -1 where it has none, and
-        # a shape's -1 reads their last entry, -1
-        landed = {j: i for i, j in pattern}
-        outside = [i for i in range(n1) if i not in landed.values()]
-        m = n2 + len(outside)
-        placed = [*map(landed.get, range(n2), [-1] * n2), *outside, -1].__getitem__
-        target = [*range(n2), *[-1] * (m - n2 + 1)].__getitem__
-        own = self._block(k, n1)[1]
-        index = self._block(k, n2)[1]
-        up, down = [0] * len(own), [0] * len(index)
-        for shape in self._block(k, m)[0]:
-            i = own[tuple(map(placed, shape))]
-            j = index[tuple(map(target, shape))]
-            up[i] |= 1 << j
-            down[j] |= 1 << i
-        return up, down
+    def _block_index(self, n: int) -> tuple:
+        """Per basis position on n support atoms: its column orbit and
+        its index in that orbit's block."""
+        cached = self._block_indices.get(n)
+        if cached is None:
+            cached = self._block_indices[n] = tuple(
+                (p, s)
+                for p, (_, _, mask) in enumerate(self._layout(n))
+                for s in range(mask.bit_length())
+            )
+        return cached
 
     def placement_map(self, n1: int, n2: int, pattern: tuple):
         """How a placed row on n1 atoms meets a row on n2 atoms, cached.
@@ -206,22 +199,19 @@ class ColumnSet:
         atoms land outside it.  Returns ``(up, down)``: ``up[i]`` masks
         the target basis positions that share a joint column instance
         with placed basis position i, and ``down[j]`` the placed
-        positions sharing one with target position j: the block maps,
-        each shifted by the other side's offset.  Column orbits with equal
-        k share one block map.
+        positions sharing one with target position j.  Each half is a
+        dict whose entries are computed the first time they are read
+        (`_Half`) and kept with the map.
         """
         key = (n1, n2, pattern)
         cached = self._maps.get(key)
         if cached is None:
-            up, down = [], []
-            blocks = {}
-            for (k, o1, _), (_, o2, _) in zip(self._layout(n1), self._layout(n2)):
-                if k not in blocks:
-                    blocks[k] = self._block_map(k, n1, n2, pattern)
-                bup, bdown = blocks[k]
-                up += [mask << o2 for mask in bup]
-                down += [mask << o1 for mask in bdown]
-            cached = self._maps[key] = (tuple(up), tuple(down))
+            sent1, sent2 = [-1] * n1, [-1] * n2
+            for i, j in pattern:
+                sent1[i], sent2[j] = j, i
+            cached = self._maps[key] = (
+                _Half(self, n1, n2, sent1), _Half(self, n2, n1, sent2)
+            )
         return cached
 
     def __iter__(self):
@@ -235,6 +225,37 @@ class ColumnSet:
 
     def __repr__(self):
         return f"ColumnSet({[p.render() for p in self._patterns]})"
+
+
+class _Half(dict):
+    """One half of a placement map, from a side on n atoms to a side on
+    m atoms; each entry is computed the first time it is read.
+
+    Atom a of the own support goes to atom ``sent[a]`` of the other
+    support, or outside it where that is -1.  An atom outside the own
+    support goes to a free atom, one of the other support that nothing
+    is sent to, or stays fresh (-1).  Only the shapes whose atoms stay
+    distinct are in the other side's block index.
+    """
+
+    __slots__ = ("_blocks", "_n", "_m", "_own", "_layout", "_sent", "_free")
+
+    def __init__(self, columns: ColumnSet, n: int, m: int, sent: list):
+        # the layouts hold every block on n and on m atoms; no reference
+        # back to the column set, whose maps hold this half
+        self._own, self._layout = columns._block_index(n), columns._layout(m)
+        self._blocks, self._n, self._m, self._sent = columns._blocks, n, m, sent
+        self._free = (-1, *(x for x in range(m) if x not in sent))
+
+    def __missing__(self, i):
+        p, s = self._own[i]
+        k, offset, _ = self._layout[p]
+        index = self._blocks[k, self._m][1]
+        choices = [(self._sent[a],) if a >= 0 else self._free
+                   for a in self._blocks[k, self._n][0][s]]
+        targets = [t for t in itertools.product(*choices) if t in index]
+        mask = self[i] = sum(1 << index[t] for t in targets) << offset
+        return mask
 
 
 def _spread(bits: int, up) -> int:

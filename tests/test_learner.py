@@ -31,6 +31,8 @@ from nomres.rows import _realize, first_difference, landing, placed_leq, row_leq
 from nomres.teacher import MembershipOracle, for_corpus, for_language
 from nomres import corpus
 
+from conftest import SUCCESS_TARGETS
+
 A1 = AlphabetSpec([("a", 1)])
 
 
@@ -364,6 +366,25 @@ class TestConsistency:
         t.oracle = SimpleNamespace(member=refuse)
         t.find_consistency_defect()
         assert t.answers == asked
+
+    def test_learn_searches_each_table_once(self, monkeypatch):
+        # a search that found no defect is not repeated on the same
+        # (length, column version), e.g. after a closedness check that
+        # found nothing
+        searched = []
+        search = ObservationTable.find_consistency_defect
+
+        def spy(self):
+            searched.append((self.length, self.columns.version))
+            return search(self)
+
+        monkeypatch.setattr(ObservationTable, "find_consistency_defect", spy)
+        for name, depth, max_l in SUCCESS_TARGETS:
+            searched.clear()
+            teacher = for_corpus(name, eq_depth=depth)
+            result = learn(teacher, LearnBudget(max_equivalence=40, max_length=max_l))
+            assert not result.diverged, name
+            assert searched and len(set(searched)) == len(searched), (name, searched)
 
 
 def _reference_leq(t, w1, w2):

@@ -602,10 +602,13 @@ def reference_placement_map(cs, n1, n2, pattern, shapes=reference_shapes):
 
 
 def spread_bits(bits, up):
+    """The union of ``up[i]`` over the set bits i of ``bits``, reading
+    only those entries, so that it takes a reference tuple as well as a
+    placement map whose entries are built on first read."""
     out = 0
-    for i, mask in enumerate(up):
+    for i in range(bits.bit_length()):
         if bits >> i & 1:
-            out |= mask
+            out |= up[i]
     return out
 
 
@@ -637,18 +640,23 @@ PLACEMENT_IDS = ["lattice", "a0-a1", "a0-a1-a0"]
 
 
 class TestPlacementMaps:
-    """Flat maps assembled from column-block maps, and the verdicts read
-    off them, against the joint-basis construction."""
+    """Flat maps, built entry by entry as comparisons read them, and the
+    verdicts read off them, against the joint-basis construction."""
 
     @pytest.mark.parametrize("columns", PLACEMENT_COLUMNS, ids=PLACEMENT_IDS)
     def test_assembled_maps_match_reference(self, columns):
         cs = columns()
         for n1, n2 in itertools.product(range(4), repeat=2):
+            width1, width2 = len(cs.instances(range(n1))), len(cs.instances(range(n2)))
             for inj in partial_injections(range(n1), range(n2)):
                 pattern = tuple(inj.items())
-                assert cs.placement_map(n1, n2, pattern) == reference_placement_map(
-                    cs, n1, n2, pattern
-                ), (n1, n2, pattern)
+                up, down = cs.placement_map(n1, n2, pattern)
+                ref_up, ref_down = reference_placement_map(cs, n1, n2, pattern)
+                assert len(ref_up) == width1 and len(ref_down) == width2
+                for i in range(width1):
+                    assert up[i] == ref_up[i], (n1, n2, pattern, "up", i)
+                for j in range(width2):
+                    assert down[j] == ref_down[j], (n1, n2, pattern, "down", j)
 
     @pytest.mark.parametrize("columns", PLACEMENT_COLUMNS, ids=PLACEMENT_IDS)
     def test_placed_leq_matches_reference_cold_and_warm(self, columns):
@@ -661,6 +669,24 @@ class TestPlacementMaps:
             cs.placement_map(len(r1.support), len(r2.support), pattern)
             assert placed_leq(r1, r2, pattern, equal) == expected  # cached map
 
+    @pytest.mark.parametrize("columns", PLACEMENT_COLUMNS, ids=PLACEMENT_IDS)
+    def test_failing_check_builds_only_what_it_reads(self, columns):
+        # a failing inclusion check reads up[i] for set bits i of r1 until
+        # one meets a position outside r2, and never reads down
+        cs = columns()
+        rows = random_rows_any_density(random.Random(67), cs, 24)
+        failed = 0
+        for r1, r2, pattern, equal, expected in placed_pairs(rows):
+            if equal or expected:
+                continue
+            cs._maps.clear()
+            assert not placed_leq(r1, r2, pattern)
+            up, down = cs.placement_map(len(r1.support), len(r2.support), pattern)
+            assert not down, (r1, r2, pattern)
+            assert 0 < len(up) <= r1.bits.bit_count(), (r1, r2, pattern)
+            failed += 1
+        assert failed
+
     def test_add_clears_flat_maps(self):
         cs = columns_upto("a(0) a(1)")
         rng = random.Random(47)
@@ -668,9 +694,9 @@ class TestPlacementMaps:
         for r1, r2 in itertools.product(rows, repeat=2):
             row_leq(r1, r2)
             row_eq(r1, r2)
-        assert cs._maps and cs._layouts
+        assert cs._maps and cs._layouts and cs._block_indices
         cs.add(parse_word("a(0) a(0) a(1)"))
-        assert not cs._maps and not cs._layouts
+        assert not cs._maps and not cs._layouts and not cs._block_indices
         rows = [wide_random_row(rng, cs) for _ in range(10)]
         for r1, r2, pattern, equal, expected in placed_pairs(rows):
             assert placed_leq(r1, r2, pattern, equal) == expected
