@@ -55,7 +55,7 @@ def _load_target(spec: str):
         try:
             return corpus.get(spec[len("builtin:"):])
         except KeyError as e:
-            raise UsageError(str(e)) from None
+            raise UsageError(e.args[0]) from None
     return _read_automaton(spec)
 
 
@@ -205,7 +205,7 @@ def _cmd_corpus(args) -> int:
     try:
         entry = corpus.get(args.name)
     except KeyError as e:
-        raise UsageError(str(e)) from None
+        raise UsageError(e.args[0]) from None
     _write(render(entry.automaton), args.output)
     return 0
 

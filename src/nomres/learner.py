@@ -32,9 +32,9 @@ from .orbits import (
     Word,
     EMPTY_WORD,
     canonicalize_with_perm,
+    count_word_orbits,
     enumerate_word_orbits,
     letter_patterns,
-    partial_injections,
     split_into_a_orbits,
 )
 from .rows import (
@@ -183,10 +183,10 @@ class ObservationTable:
         not an upper row, in enumeration order; None when join-closed.
         Raises `OutOfTime` once the table's deadline has passed."""
         self._require_filled()
-        s_labels = self.s_labels()
-        uppers = {self._rows[s].orbit_key() for s in s_labels}
-        # labels are listed by length, so S . Sigma \ S follows S
-        for label in self.all_labels()[len(s_labels):]:
+        labels = self.all_labels()  # by length: S, then S . Sigma \ S
+        split = count_word_orbits(self.alphabet, self.length)
+        uppers = {self._rows[s].orbit_key() for s in labels[:split]}
+        for label in labels[split:]:
             _check_deadline(self.deadline)
             r = self._rows[label]
             if r.orbit_key() not in uppers and self._is_ji(r):
@@ -237,28 +237,19 @@ class ObservationTable:
         before a label pair (s1, s2), and before each placement of it
         that the atom tables admit, once the table's deadline has passed.
 
-        row(s1) <= inj.row(s2) iff inj^-1.row(s1) <= row(s2), which only
-        depends on the two least-support rows and on where inj lands the
-        support of row(s2) inside that of row(s1).  A canonical label's
-        support is fixed by its size, so the placements of s2, each with
-        the pattern it places row(s2) by, are listed once per pair of
-        support sizes and least supports, and every label pair reads its
-        listing through `placed_below`.
+        row(s1) <= inj.row(s2) iff inj^-1.row(s1) <= row(s2): the atom
+        tables of the least-support rows, read from s2's side, bound the
+        injections of s2's atoms, their own positions, into s1's.
         """
-        placements = {}  # (k2, k1, least supports) -> [(pattern, injection)]
-        listed = [(s, sorted(frozenset(s.atoms())), self._rows[s].reduced())
-                  for s in labels]
-        for s1, sup1, r1 in listed:
-            for s2, sup2, r2 in listed:
+        listed = []
+        for s in labels:
+            sup, r = sorted(frozenset(s.atoms())), self._rows[s].reduced()
+            names = [r.support.index(a) if a in r.support_set else None for a in sup]
+            listed.append((s, sup, r, names, [None if i is None else ~i for i in names]))
+        for s1, sup1, r1, tgt, _ in listed:
+            for s2, sup2, r2, _, src in listed:
                 _check_deadline(self.deadline)
-                key = (len(sup2), len(sup1), r2.support, r1.support)
-                if key not in placements:
-                    placements[key] = []
-                    for inj in partial_injections(sup2, sup1):
-                        land = landing([inj.get(b) for b in r2.support], r1.support)
-                        pattern = tuple(sorted((i, j) for j, i in land))
-                        placements[key].append((pattern, inj))
-                for inj in placed_below(r1, r2, placements[key], self.deadline):
+                for inj in placed_below(r1, r2, src, tgt, self.deadline):
                     yield s1, s2, _realize(inj, sup2, sup1)
 
     def _extensions_below(self, s1: Word, s2: Word, placement) -> bool:
@@ -374,18 +365,16 @@ class ObservationTable:
                 if forgotten.intersection(letter.atoms):
                     continue
                 target, atoms = self._extension_pattern(r.owner, letter)
-                scope = frozenset(regs) | frozenset(letter.atoms)
+                scope = sorted({*regs, *letter.atoms})
+                # scope atoms off the target's support stay None
+                tgt = [~atoms.index(a) if a in atoms else None for a in scope]
                 for j, cand in enumerate(reduced):
-                    listing = (
-                        (landing([inj.get(a) for a in cand.support], atoms), inj)
-                        for inj in partial_injections(cand.support, sorted(scope))
-                    )
-                    for inj in placed_below(cand, target, listing):
-                        placement = _realize(inj, cand.support, scope | owner_atoms)
-                        transitions.append(
-                            self._line(name, regs, letter, f"q{j}",
-                                       tuple(placement[a] for a in cand.support))
-                        )
+                    sup = cand.support
+                    for inj in placed_below(cand, target, range(len(sup)), tgt):
+                        placement = _realize(((sup[d], scope[c]) for d, c in inj),
+                                             sup, owner_atoms.union(scope))
+                        transitions.append(self._line(
+                            name, regs, letter, f"q{j}", tuple(placement[a] for a in sup)))
         automaton = SymbolicAutomaton(
             self.alphabet, states, initial, final, transitions
         )

@@ -33,16 +33,13 @@ entries are never built.  No word is built; a concrete witness column
 is found by one loop over joint column instances (`first_difference`).
 
 The atom-free and one-atom blocks are decided per atom, once per row
-pair (`_atom_tables`).  The atom-free blocks do not depend on the
-placement.  In a one-atom block, placed atom i meets only the atom j
-of supp(r2) it lands on, or r2's instance on a fresh atom when it lands
-outside, and an atom j that nothing hits meets r1's fresh instance; the
-two fresh instances always meet.  So those blocks pass a placement
-exactly when no pair (i, j) of it is forbidden, every unlanded i may
-land outside and every unhit j may stay unhit (`_admits`).  One search
-(`placed_below`) owns these tables: every listing of placements goes
-through it, and only the placements the tables admit reach
-`placed_leq`.
+pair (`_atom_tables`): in a one-atom block, placed atom i meets only
+the atom j of supp(r2) it lands on, or r2's instance on a fresh atom
+when it lands outside, and an atom j that nothing hits meets r1's fresh
+instance.  So a placement passes them exactly when no pair (i, j) of it
+is forbidden, every unlanded i may land outside and every unhit j may
+stay unhit.  One search (`placed_below`) builds only such placements,
+atom by atom, and decides each with `placed_leq`.
 
 Joins below a row are built from the placed copies that sit below it,
 one family row after another (`_survivors`).  The join-irreducibility
@@ -468,23 +465,57 @@ def placed_leq(r1: Row, r2: Row, pattern: tuple, equal=False) -> bool:
     return _fits(r1.bits, r2.bits, up, down, equal)
 
 
-def placed_below(r1: Row, r2: Row, placements, deadline=None):
-    """The payload of every placement of r1 whose copy sits below r2.
-
-    ``placements`` lists ``(pattern, payload)`` pairs; the payloads come
-    out in listing order.  The row pair's `_atom_tables` are built once,
-    and only the placements they admit reach `placed_leq`; none does
-    when the tables fail whatever the placement.  Raises `OutOfTime`
-    before an admitted placement once ``deadline`` has passed.
-    """
+def placed_below(r1: Row, r2: Row, src, tgt, deadline=None):
+    """The injections of a domain into a codomain, as (domain index,
+    codomain index) pairs in `partial_injections` order, that place r1
+    below r2; raises `OutOfTime` before each once ``deadline`` passed.
+    ``src`` and ``tgt`` name the atoms: i for r1's i-th, ~j for r2's
+    j-th, None for one of neither.  An atom that may not stay off the
+    other support (`_atom_tables`) is bound: in every domain, or hit by
+    every injection.  Atoms of the two supports pair unless forbidden,
+    others only if neither is bound, and no two take one image."""
     tables = _atom_tables(r1, r2)
     if tables is None:
         return
-    for pattern, payload in placements:
-        if _admits(tables, pattern):
-            _check_deadline(deadline)
-            if placed_leq(r1, r2, pattern):
-                yield payload
+    forbid, outside_ok, unhit_ok = tables
+
+    def bound(x):
+        return x is not None and not (outside_ok >> x if x >= 0 else unhit_ok >> ~x) & 1
+
+    need = sum(1 << c for c, y in enumerate(tgt) if bound(y))
+    must, rest, allowed = [], [], []
+    for d, x in enumerate(src):
+        (must if bound(x) else rest).append(d)
+        allowed.append(sum(1 << c for c, y in enumerate(tgt) if (
+            not (bound(x) or need >> c & 1) if x is None or y is None
+            else not (forbid[x] >> ~y if x >= 0 else forbid[y] >> ~x) & 1)))
+
+    def place(domain, k, taken, pairs):
+        # the atoms left must hit the bound ones unhit, all when just enough
+        left, unhit = len(domain) - k, need & ~taken
+        if unhit.bit_count() > left:
+            return
+        options = allowed[domain[k]] & ~taken & (unhit if unhit.bit_count() == left else -1)
+        while options:
+            low = options & -options
+            placed = (*pairs, (domain[k], low.bit_length() - 1))
+            if left > 1:
+                yield from place(domain, k + 1, taken | low, placed)
+            else:
+                yield placed
+            options ^= low
+
+    for size in range(min(len(src), len(tgt)), max(len(must), need.bit_count()) - 1, -1):
+        for extra in itertools.combinations(rest, size - len(must)):
+            for inj in place(sorted(must + list(extra)), 0, 0, ()) if size else [()]:
+                _check_deadline(deadline)
+                pattern = []
+                for d, c in inj:
+                    x, y = src[d], tgt[c]
+                    if x is not None and y is not None:
+                        pattern.append((x, ~y) if x >= 0 else (y, ~x))
+                if placed_leq(r1, r2, tuple(sorted(pattern))):
+                    yield inj
 
 
 def _atom_tables(r1: Row, r2: Row):
@@ -524,19 +555,6 @@ def _atom_tables(r1: Row, r2: Row):
         if fresh1:
             unhit_ok &= b2 | ~own2
     return forbid, outside_ok, unhit_ok
-
-
-def _admits(tables, pattern) -> bool:
-    """Do the atom-free and one-atom blocks pass the placement
-    ``pattern``, read off `_atom_tables`?"""
-    forbid, outside_ok, unhit_ok = tables
-    landed = hit = 0
-    for i, j in pattern:
-        if forbid[i] >> j & 1:
-            return False
-        landed |= 1 << i
-        hit |= 1 << j
-    return (landed | outside_ok) == -1 and (hit | unhit_ok) == -1
 
 
 def _fits(b1: int, b2: int, up, down, equal) -> bool:
@@ -605,20 +623,13 @@ def _realize(mapping, own_support, avoid):
 def _survivors(t: Row, family, strict, deadline=None):
     """The bits, spread onto t's basis, of every placed copy of a family
     row that lands (strictly) below t, one family row after another;
-    raises `OutOfTime` before a family row once ``deadline`` has passed.
-
-    Whether a placed copy sits below t only depends on which of its
-    atoms land on which atoms of supp(t); the remaining atoms are fresh.
-    """
-    positions = range(len(t.support))
+    raises `OutOfTime` before a family row once ``deadline`` has passed."""
+    tgt = [~j for j in range(len(t.support))]
     for y0 in family:
         _check_deadline(deadline)
         y = y0.reduced()
-        listing = (  # each pattern is its own payload
-            (tuple(tpat.items()),) * 2
-            for tpat in partial_injections(range(len(y.support)), positions)
-        )
-        for pattern in placed_below(y, t, listing):
+        # y's atoms into t's: each injection is its own pattern
+        for pattern in placed_below(y, t, range(len(y.support)), tgt):
             if strict and placed_leq(y, t, pattern, equal=True):
                 continue
             up, _ = t.columns.placement_map(len(y.support), len(t.support), pattern)

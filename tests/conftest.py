@@ -10,11 +10,17 @@ import random
 
 import pytest
 
-from nomres.orbits import AlphabetSpec, Letter, Word, enumerate_word_orbits
+from nomres.orbits import (
+    AlphabetSpec,
+    Letter,
+    Word,
+    enumerate_word_orbits,
+    partial_injections,
+)
 from nomres import corpus
 from nomres.automaton import TransitionLine, accepts
 from nomres.learner import LearnBudget, learn
-from nomres.rows import ColumnSet, Row
+from nomres.rows import ColumnSet, Row, placed_leq
 from nomres.teacher import for_corpus, for_language
 
 
@@ -64,6 +70,56 @@ def brute_partial_injections(src, tgt):
             for img in itertools.permutations(tgt, r):
                 out.append(dict(zip(chosen, img)))
     return out
+
+
+def admits(tables, pattern):
+    """The reference filter: do the atom-free and one-atom blocks pass
+    the placement ``pattern`` (pairs (i, j), atom i of r1 on atom j of
+    r2), read off `rows._atom_tables(r1, r2)`?"""
+    forbid, outside_ok, unhit_ok = tables
+    landed = hit = 0
+    for i, j in pattern:
+        if forbid[i] >> j & 1:
+            return False
+        landed |= 1 << i
+        hit |= 1 << j
+    return (landed | outside_ok) == -1 and (hit | unhit_ok) == -1
+
+
+def full_listing(src, tgt):
+    """Every partial injection of ``src`` into ``tgt`` as (domain index,
+    codomain index) pairs, in `partial_injections` order."""
+    for inj in partial_injections(range(len(src)), range(len(tgt))):
+        yield tuple(inj.items())
+
+
+def named_pattern(src, tgt, inj):
+    """The placement pattern of r1 into r2 that an injection of ``src``
+    into ``tgt`` gives, the atoms named as `rows.placed_below` names
+    them: i for r1's i-th atom, ~j for r2's j-th, None for neither."""
+    pattern = []
+    for d, c in inj:
+        x, y = src[d], tgt[c]
+        if x is not None and y is not None:
+            pattern.append((x, ~y) if x >= 0 else (y, ~x))
+    return tuple(sorted(pattern))
+
+
+def admitted_listing(tables, src, tgt):
+    """The injections `rows.placed_below` builds from the atom tables,
+    as the full listing filtered by `admits`."""
+    if tables is not None:
+        for inj in full_listing(src, tgt):
+            if admits(tables, named_pattern(src, tgt, inj)):
+                yield inj
+
+
+def listed_below(r1, r2, src, tgt, deadline=None):
+    """`rows.placed_below` as the full listing: every injection is
+    decided by `placed_leq`, with no atom tables."""
+    for inj in full_listing(src, tgt):
+        if placed_leq(r1, r2, named_pattern(src, tgt, inj)):
+            yield inj
 
 
 def language_disagreement(aut, predicate, depth):

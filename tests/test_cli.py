@@ -59,6 +59,11 @@ class TestMember:
     def test_unknown_builtin(self, capsys):
         code, _, err = run(capsys, "member", "builtin:Nope", "eps")
         assert code == 2
+        # the message is printed as raised, not as a quoted KeyError
+        assert err == "error: unknown corpus entry 'Nope'\n"
+        code, _, err = run(capsys, "learn", "--target", "builtin:Ak:9")
+        assert code == 2
+        assert err == "error: Ak requires 1 <= k <= 8\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "member", "/nonexistent.aut", "eps")
@@ -304,6 +309,7 @@ class TestCorpusExport:
     def test_unknown_entry(self, capsys):
         code, _, err = run(capsys, "corpus", "export", "Nope")
         assert code == 2
+        assert err == "error: unknown corpus entry 'Nope'\n"
 
     def test_unknown_action(self, capsys):
         code, _, _ = run(capsys, "corpus", "import", "Ld")

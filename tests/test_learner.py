@@ -16,7 +16,7 @@ from nomres.orbits import (
     split_into_a_orbits,
     word_orbit_tree,
 )
-from nomres import automaton, rows
+from nomres import automaton, learner, rows
 from nomres.automaton import accepts, accepts_each
 from nomres.learner import (
     LearnBudget,
@@ -31,7 +31,7 @@ from nomres.rows import _realize, first_difference, landing, placed_leq, row_leq
 from nomres.teacher import MembershipOracle, for_corpus, for_language
 from nomres import corpus
 
-from conftest import SUCCESS_TARGETS
+from conftest import SUCCESS_TARGETS, admits, listed_below
 
 A1 = AlphabetSpec([("a", 1)])
 
@@ -203,7 +203,7 @@ class TestOrderedPairsDeadline:
         placements = list(partial_injections(range(2), range(2)))
         admitted = [
             inj for inj in placements
-            if rows._admits(tables, landing([inj.get(b) for b in r.support], r.support))
+            if admits(tables, landing([inj.get(b) for b in r.support], r.support))
         ]
         assert (len(placements), len(admitted)) == (7, 2)
         decided, _, _ = self.walk_past_deadline(t, [label], monkeypatch)
@@ -544,9 +544,8 @@ class TestAtomTablesInSearches:
         t = table_for(name, length=length, columns=columns)
         hyp = t.build_hypothesis(verify_preconditions=False).automaton
         assert hyp.transitions
-        # tables that admit every placement give the full listing
-        monkeypatch.setattr(rows, "_atom_tables", lambda r1, r2: ())
-        monkeypatch.setattr(rows, "_admits", lambda tables, pattern: True)
+        # the full listing, every placement decided by `placed_leq`
+        monkeypatch.setattr(learner, "placed_below", listed_below)
         full = t.build_hypothesis(verify_preconditions=False).automaton
         assert automaton.render(full) == automaton.render(hyp)
 

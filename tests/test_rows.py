@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -10,7 +11,6 @@ from nomres.rows import (
     ColumnError,
     ColumnSet,
     Row,
-    _admits,
     _atom_classes,
     _atom_tables,
     _survivors,
@@ -25,16 +25,20 @@ from nomres.rows import (
     row_leq,
 )
 from nomres import corpus
+from nomres import rows as rows_module
 from nomres.learner import ObservationTable
 from nomres.teacher import MembershipOracle
 from conftest import (
     LATTICE_UNIVERSE,
+    admits,
+    admitted_listing,
     basis_bits,
     brute_generated,
     brute_join_irreducible,
     concrete_columns,
     concretize_family,
     concretize_row,
+    full_listing,
     lattice_columns,
     make_row,
     random_family,
@@ -781,7 +785,7 @@ class TestAtomTables:
                         if len(r1.support) != n1:
                             continue
                         tb = tables[id(r1)]
-                        passes = tb is not None and _admits(tb, pattern)
+                        passes = tb is not None and admits(tb, pattern)
                         assert passes == (not r1.bits & low & bad), (r1, r2, pattern)
                         seen["admitted" if passes else "rejected"] += 1
                         if passes and placed_leq(r1, r2, pattern):
@@ -790,11 +794,8 @@ class TestAtomTables:
                             expected[id(r1)].append(pattern)
             assert kept == expected, r2
             for r1 in rows:
-                listing = (
-                    (tuple(inj.items()),) * 2
-                    for inj in partial_injections(range(len(r1.support)), range(n2))
-                )
-                assert list(placed_below(r1, r2, listing)) == expected[id(r1)], (r1, r2)
+                got = placed_below(r1, r2, range(len(r1.support)), [~j for j in range(n2)])
+                assert list(got) == expected[id(r1)], (r1, r2)
         return seen
 
     @pytest.mark.parametrize("columns", PLACEMENT_COLUMNS, ids=PLACEMENT_IDS)
@@ -834,3 +835,74 @@ class TestAtomTables:
                 assert list(_survivors(target, family, strict)) == list(
                     reference_survivors(target, family, strict)
                 ), (r, strict)
+
+
+def search_shapes(rng, n1, n2):
+    """(src, tgt) in `placed_below`'s naming for the three shapes its
+    callers search, on rows with n1 and n2 atoms: least support into
+    least support; r2's full support into r1's, with atoms outside the
+    least supports (None); and r1's support into a codomain with atoms
+    outside r2's support."""
+    def padded(atoms):
+        out = list(atoms)
+        for _ in range(rng.randint(0, 1)):
+            out.insert(rng.randint(0, len(out)), None)
+        return out
+
+    atoms2 = [~j for j in range(n2)]
+    return [
+        (range(n1), atoms2),
+        (padded(atoms2), padded(range(n1))),
+        (range(n1), padded(atoms2)),
+    ]
+
+
+class TestAdmittedSearch:
+    """`placed_below` builds exactly the injections that the full listing
+    keeps through the reference filter `admits`, in the same order, in
+    each shape its callers search; `placed_leq` is stubbed to pass them
+    all, so that only the atom tables decide."""
+
+    @staticmethod
+    def check_pairs(rows, seed, monkeypatch):
+        monkeypatch.setattr(rows_module, "placed_leq", lambda r1, r2, pattern: True)
+        rng = random.Random(seed)
+        built = listed = 0
+        for r1, r2 in itertools.product(rows, repeat=2):
+            tables = _atom_tables(r1, r2)
+            for src, tgt in search_shapes(rng, len(r1.support), len(r2.support)):
+                got = list(placed_below(r1, r2, src, tgt))
+                assert got == list(admitted_listing(tables, src, tgt)), (
+                    r1, r2, src, tgt
+                )
+                built += len(got)
+                listed += sum(math.comb(len(src), k) * math.perm(len(tgt), k)
+                              for k in range(len(src) + 1))
+        # the search builds some injections and leaves others out
+        assert 0 < built < listed, (built, listed)
+
+    @pytest.mark.parametrize("columns", PLACEMENT_COLUMNS, ids=PLACEMENT_IDS)
+    def test_random_rows_match_reference(self, columns, monkeypatch):
+        rows = random_rows_any_density(random.Random(71), columns(), 16)
+        self.check_pairs(rows, 73, monkeypatch)
+
+    # Lng's 4-atom rows would take a second more and add no new shape
+    @pytest.mark.parametrize(
+        "name,length,columns", ATOM_TABLE_TABLES[:2], ids=["Ln", "Ak:2"]
+    )
+    def test_table_rows_match_reference(self, name, length, columns, monkeypatch):
+        t = filled_table(name, length, columns)
+        self.check_pairs([r.reduced() for r in t.rows_family()], 79, monkeypatch)
+
+    def test_free_tables_list_every_injection(self, monkeypatch):
+        # tables that bind and forbid nothing admit the full listing
+        cs = columns_upto("a(0) a(1)")
+        rows = random_rows_any_density(random.Random(83), cs, 8)
+        monkeypatch.setattr(rows_module, "placed_leq", lambda r1, r2, pattern: True)
+        monkeypatch.setattr(
+            rows_module, "_atom_tables", lambda r1, r2: ([0] * len(r1.support), -1, -1)
+        )
+        rng = random.Random(89)
+        for r1, r2 in itertools.product(rows, repeat=2):
+            for src, tgt in search_shapes(rng, len(r1.support), len(r2.support)):
+                assert list(placed_below(r1, r2, src, tgt)) == list(full_listing(src, tgt))
