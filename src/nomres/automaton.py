@@ -17,6 +17,9 @@ register a transition line compares it with, or no marker at all.
 Markers are renumbered -1, -2, ... in slot order, so each configuration
 has one canonical form, and a frontier holds at most
 |states| * (atoms read + 2) ** (largest dimension) configurations.
+A step finds a letter's arity and its lines in one lookup of the
+compiled table, and each compiled line builds its successors already
+canonical.
 
 A run along one word (`accepts`, `run_frontier`) also knows the rest of
 the word: once a read atom's last occurrence has passed, it is demoted
@@ -87,29 +90,34 @@ class _CompiledLine:
 
     def __init__(self, line: TransitionLine):
         self.dst = line.dst
-        src_pos = {v: i for i, v in enumerate(line.src_vars)}
-        seen_letter = {}
+        # each variable's index in regs + atoms + guesses, the one pool
+        # that destination registers pick from
+        pool = {v: i for i, v in enumerate(line.src_vars)}
+        base = len(pool)
         reg_ops, new_pos, dup_ops = [], [], []
         for j, v in enumerate(line.letter_vars):
-            if v in src_pos:
-                reg_ops.append((j, src_pos[v]))
-            elif v in seen_letter:
-                dup_ops.append((j, seen_letter[v]))
-            else:
-                seen_letter[v] = j
+            i = pool.get(v)
+            if i is None:
+                pool[v] = base + j
                 new_pos.append(j)
+            elif i < base:
+                reg_ops.append((j, i))
+            else:
+                dup_ops.append((j, i - base))
         self.reg_ops = tuple(reg_ops)
         self.new_pos = tuple(new_pos)
         self.dup_ops = tuple(dup_ops)
-        # each variable's index in regs + atoms + guesses, the one pool
-        # that destination registers pick from
-        pool = dict(src_pos)
-        pool.update((v, len(src_pos) + j) for v, j in seen_letter.items())
-        guesses = [v for v in line.dst_vars if v not in pool]
-        base = len(src_pos) + len(line.letter_vars)
-        pool.update((v, base + g) for g, v in enumerate(guesses))
-        self.picks = tuple(pool[v] for v in line.dst_vars)
-        self.guess_count = len(guesses)
+        base += len(line.letter_vars)
+        picks = []
+        guesses = 0
+        for v in line.dst_vars:
+            i = pool.get(v)
+            if i is None:
+                i = base + guesses
+                guesses += 1
+            picks.append(i)
+        self.picks = tuple(picks)
+        self.guess_count = guesses
 
     def fire(self, regs, atoms, fresh=()):
         """The source registers, with the markers this line resolves, when
@@ -139,13 +147,33 @@ class _CompiledLine:
         return regs
 
     def successors(self, regs, atoms, keep):
-        """All destination register tuples.  A guess takes an atom of keep
-        (read, and still of use) or a new marker."""
-        if self.guess_count == 0:
-            pool = regs + atoms
-            return [tuple([pool[p] for p in self.picks])]
-        pools = _with_guesses(regs + atoms, keep, -1 - len(regs), self.guess_count)
-        return [tuple([pool[p] for p in self.picks]) for pool in pools]
+        """All canonical destination configurations (dst, registers).
+
+        A guess takes an atom of keep (read, and still of use) or a new
+        marker.  As each register is picked, a marker is renumbered
+        -1, -2, ... in slot order and a read atom outside keep is
+        demoted to None.
+        """
+        pool = regs + atoms
+        if self.guess_count:
+            pools = _with_guesses(pool, keep, -1 - len(regs), self.guess_count)
+        else:
+            pools = (pool,)
+        out = []
+        for values in pools:
+            dst = []
+            marker = -1
+            for p in self.picks:
+                v = values[p]
+                if v is not None:
+                    if v < 0:
+                        v = marker
+                        marker -= 1
+                    elif v not in keep:
+                        v = None
+                dst.append(v)
+            out.append((self.dst, tuple(dst)))
+        return out
 
 
 def _with_guesses(pool, candidates, marker_base, n):
@@ -202,13 +230,12 @@ class SymbolicAutomaton:
                 )
 
     def compiled(self):
-        """The compiled lines, as {tag: {source state: lines}}."""
+        """The compiled lines of every tag, as {tag: (arity, {source
+        state: lines})}."""
         if self._compiled is None:
-            table = {}
+            table = {tag: (arity, {}) for tag, arity in self.alphabet.constructors}
             for t in self.transitions:
-                table.setdefault(t.letter_tag, {}).setdefault(t.src, []).append(
-                    _CompiledLine(t)
-                )
+                table[t.letter_tag][1].setdefault(t.src, []).append(_CompiledLine(t))
             self._compiled = table
         return self._compiled
 
@@ -233,13 +260,13 @@ class SymbolicAutomaton:
 
 def _parse_spec(token, line_no):
     """name or name(v1,...,vk) -> (name, vars)."""
-    if "(" in token:
-        if not token.endswith(")"):
+    name, paren, body = token.partition("(")
+    vars_ = ()
+    if paren:
+        if not body.endswith(")"):
             raise AutomatonFormatError(f"malformed {token!r}", line_no)
-        name, body = token[:-1].split("(", 1)
-        vars_ = tuple(v.strip() for v in body.split(",")) if body.strip() else ()
-    else:
-        name, vars_ = token, ()
+        if body != ")":
+            vars_ = tuple(body[:-1].split(","))
     if not name:
         raise AutomatonFormatError(f"malformed {token!r}", line_no)
     return name, vars_
@@ -338,22 +365,6 @@ def _markers(dimension):
     return tuple(range(-1, -1 - dimension, -1))
 
 
-def _canon(regs, keep):
-    """Markers renumbered -1, -2, ... in slot order; read atoms outside
-    keep demoted to None."""
-    out = []
-    marker = -1
-    for v in regs:
-        if v is not None:
-            if v < 0:
-                v = marker
-                marker -= 1
-            elif v not in keep:
-                v = None
-        out.append(v)
-    return tuple(out)
-
-
 def _step(aut, frontier, letter, fresh, keep):
     """The canonical configurations after reading one letter, as a
     frozenset.
@@ -361,19 +372,19 @@ def _step(aut, frontier, letter, fresh, keep):
     fresh lists the letter atoms read for the first time; keep holds the
     read atoms that may still be compared, and guesses draw from it.
     """
-    if letter.tag not in aut.alphabet:
-        raise AlphabetMismatchError(f"unknown tag {letter.tag!r}")
-    if aut.alphabet.arity(letter.tag) != len(letter.atoms):
-        raise AlphabetMismatchError(f"arity mismatch for {letter.tag!r}")
-    lines = aut.compiled().get(letter.tag, {})
+    try:
+        arity, lines = aut.compiled()[letter.tag]
+    except KeyError:
+        raise AlphabetMismatchError(f"unknown tag {letter.tag!r}") from None
     atoms = letter.atoms
+    if arity != len(atoms):
+        raise AlphabetMismatchError(f"arity mismatch for {letter.tag!r}")
     nxt = set()
     for state, regs in frontier:
         for cl in lines.get(state, ()):
             src = cl.fire(regs, atoms, fresh)
             if src is not None:
-                for dst in cl.successors(src, atoms, keep):
-                    nxt.add((cl.dst, _canon(dst, keep)))
+                nxt.update(cl.successors(src, atoms, keep))
     return frozenset(nxt)
 
 
@@ -494,7 +505,7 @@ def is_universal_residual(aut: SymbolicAutomaton) -> UniversalityResult:
     for q in aut.states:
         regs = tuple(range(q.dimension))
         for tag, arity in aut.alphabet.constructors:
-            lines = compiled.get(tag, {}).get(q.name, ())
+            lines = compiled[tag][1].get(q.name, ())
             for base in letter_patterns(tag, arity):
                 for inst in split_into_a_orbits(Word([base]), set(regs)):
                     letter = inst[0]

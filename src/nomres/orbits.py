@@ -148,7 +148,20 @@ class Word(tuple):
 EMPTY_WORD = Word()
 
 
-_LETTER_RE = re.compile(rf"^({_TAG})(?:\(([^()]*)\))?$")
+# A letter token: a tag, then its atoms in parentheses, each ASCII decimal
+# digits (int() would also read 1_0, +3 and other scripts' digits).
+# `tag()` reads as the bare tag.
+_LETTER_RE = re.compile(rf"({_TAG})(?:\(((?:[0-9]+(?:,[0-9]+)*)?)\))?")
+
+
+def _bad_letter(token):
+    """The error for a token that `_LETTER_RE` does not match."""
+    m = re.fullmatch(rf"({_TAG})(?:\(([^()]*)\))?", token)
+    if m is None:
+        return ValueError(f"bad letter {token!r}")
+    if re.fullmatch(r"-?[0-9]+(?:,-?[0-9]+)*", m[2]):
+        return ValueError(f"negative atom in {token!r}")
+    return ValueError(f"bad atom list in {token!r}")
 
 
 def parse_word(text: str, alphabet: AlphabetSpec | None = None) -> Word:
@@ -156,29 +169,32 @@ def parse_word(text: str, alphabet: AlphabetSpec | None = None) -> Word:
     text = text.strip()
     if text in ("", "eps"):
         return EMPTY_WORD
-    letters = []
+    arities = None if alphabet is None else alphabet._arity
+    new = tuple.__new__  # a Letter without its Python-level __new__
+    letters = {}  # each token's letter, read once per word
+    word = []
     for token in text.split():
-        m = _LETTER_RE.match(token)
-        if not m:
-            raise ValueError(f"bad letter {token!r}")
-        tag, body = m.group(1), m.group(2)
-        atoms = ()
-        if body:
-            try:
-                atoms = tuple(int(x) for x in body.split(","))
-            except ValueError:
-                raise ValueError(f"bad atom list in {token!r}") from None
-        if any(a < 0 for a in atoms):
-            raise ValueError(f"negative atom in {token!r}")
-        if alphabet is not None:
-            if tag not in alphabet:
-                raise ValueError(f"unknown tag {tag!r}")
-            if alphabet.arity(tag) != len(atoms):
-                raise ValueError(
-                    f"tag {tag!r} takes {alphabet.arity(tag)} atoms, got {len(atoms)}"
-                )
-        letters.append(Letter(tag, atoms))
-    return Word(letters)
+        letter = letters.get(token)
+        if letter is None:
+            m = _LETTER_RE.fullmatch(token)
+            if m is None:
+                raise _bad_letter(token)
+            tag, body = m.groups()
+            atoms = ()
+            if body:
+                try:
+                    atoms = tuple(map(int, body.split(",")))
+                except ValueError:  # more digits than int() reads
+                    raise ValueError(f"bad atom list in {token!r}") from None
+            if arities is not None:
+                arity = arities.get(tag)
+                if arity is None:
+                    raise ValueError(f"unknown tag {tag!r}")
+                if arity != len(atoms):
+                    raise ValueError(f"tag {tag!r} takes {arity} atoms, got {len(atoms)}")
+            letter = letters[token] = new(Letter, (tag, atoms))
+        word.append(letter)
+    return Word(word)
 
 
 def canonicalize(w: Word) -> Word:

@@ -158,6 +158,26 @@ class TestAcceptance:
         with pytest.raises(AlphabetMismatchError):
             accepts(LD, Word([Letter("anc", (1,))]))
 
+    @pytest.mark.parametrize("at", [0, 2, 4], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("kind", ["tag", "arity"])
+    def test_alphabet_mismatch_at_any_letter(self, kind, at):
+        """Every driver refuses a letter outside the alphabet wherever it
+        stands, also once the frontier is empty: `b` is the only letter
+        the second automaton reads."""
+        bad = Letter("anc", (at,)) if kind == "tag" else Letter("a", (at, at + 1))
+        letters = [Letter("a", (i,)) for i in range(5)]
+        letters[at] = bad
+        w = Word(letters)
+        prefixes = [Word(w[:i]) for i in range(len(w) + 1)]
+        parents = range(-1, len(w))
+        b_only = parse("alphabet a 1\nalphabet b 0\nstate q 0\ninitial q\ntrans q b q\n")
+        for aut in (LD, b_only):
+            for run in (accepts, run_frontier):
+                with pytest.raises(AlphabetMismatchError):
+                    run(aut, w)
+            with pytest.raises(AlphabetMismatchError):
+                list(accepts_each(aut, prefixes, parents))
+
     @settings(max_examples=60)
     @given(words(), perms())
     def test_equivariance(self, w, p):
@@ -180,21 +200,31 @@ class TestAcceptance:
 class TestCompiledLine:
     def test_picks_index_regs_then_atoms_then_guesses(self):
         """A destination register reads a source register, a letter atom
-        or a guess, through one index into regs + atoms + guesses."""
+        or a guess, through one index into regs + atoms + guesses, and
+        each successor comes out canonical: markers -1, -2, ... in slot
+        order, read atoms outside keep demoted to None."""
         line = automaton._CompiledLine(
             TransitionLine("p", ("x", "y"), "a", ("z",), "q", ("g", "x", "z", "h"))
         )
         assert line.picks == (3, 0, 2, 4)
         assert line.guess_count == 2
         regs, atoms = (5, -1), (7,)
-        # with no atom to keep, each guess is a new marker
-        assert line.successors(regs, atoms, ()) == [(-4, 5, 7, -3)]
+        # with no atom to keep, each guess is a new marker, and 5 and 7
+        # are demoted
+        assert line.successors(regs, atoms, ()) == [("q", (-1, None, None, -2))]
         # 5 and 7 are in regs or atoms, so only 3 can be guessed
         assert line.successors(regs, atoms, (3, 5, 7)) == [
-            (3, 5, 7, -3),
-            (-4, 5, 7, 3),
-            (-4, 5, 7, -3),
+            ("q", (3, 5, 7, -1)),
+            ("q", (-1, 5, 7, 3)),
+            ("q", (-1, 5, 7, -2)),
         ]
+        # without a guess: swapped markers are renumbered in slot order
+        swap = automaton._CompiledLine(
+            TransitionLine("p", ("x", "y"), "a", ("z",), "q", ("y", "z", "x"))
+        )
+        assert swap.guess_count == 0
+        assert swap.successors((-1, -2), atoms, (7,)) == [("q", (-1, 7, -2))]
+        assert swap.successors((-1, -2), atoms, ()) == [("q", (-1, None, -2))]
 
 
 class TestWalk:
@@ -387,6 +417,22 @@ class TestSingleWordRun:
             assert run_frontier(aut, w) == frozenset(
                 (state, automaton._markers(len(regs))) for state, regs in frontier
             )
+
+    def test_random_automata_match_suffix_sets(self):
+        """Seeded random automata, with guesses, markers, arity-0 and
+        arity-2 tags and several initial states: words of length 8 to 40
+        give the frontiers of the suffix-set run."""
+        rng = random.Random("long-words/random")
+        reached = 0
+        for _ in range(40):
+            aut = random_automaton(rng)
+            for n in range(8, 41, 4):
+                w = random_word(rng, aut.alphabet, n)
+                frontier = suffix_set_run(aut, w)
+                assert automaton._run(aut, w) == frontier, (render(aut), w.render())
+                assert accepts(aut, w) == any(state in aut.final for state, _ in frontier)
+                reached += bool(frontier)
+        assert reached
 
 
 class TestStructuralChecks:

@@ -78,11 +78,26 @@ class TestWordBasics:
             assert parse_word(text).render() == text
 
     def test_parse_validates_against_alphabet(self):
-        with pytest.raises(ValueError):
-            parse_word("b(1)", DEFAULT_ALPHABET)
-        with pytest.raises(ValueError):
-            parse_word("a(1,2)", DEFAULT_ALPHABET)
-        with pytest.raises(ValueError):
+        """Each message in full, as the CLI prints it; the first bad
+        letter decides.  Atoms are ASCII decimal digits, although int()
+        also reads 1_0, +3 and other scripts' digits."""
+        cases = [
+            ("b(1)", "unknown tag 'b'"),
+            ("a(1,2)", "tag 'a' takes 1 atoms, got 2"),
+            ("a(x)", "bad atom list in 'a(x)'"),
+            ("a(1_0)", "bad atom list in 'a(1_0)'"),
+            ("a(+3)", "bad atom list in 'a(+3)'"),
+            ("a(\u0663)", "bad atom list in 'a(\u0663)'"),
+            ("a(-1)", "negative atom in 'a(-1)'"),
+            ("a(1", "bad letter 'a(1'"),
+            ("a(1) a(2,3) b(1)", "tag 'a' takes 1 atoms, got 2"),
+            ("a(1) b(1) a(x)", "unknown tag 'b'"),
+        ]
+        for text, message in cases:
+            with pytest.raises(ValueError) as err:
+                parse_word(text, DEFAULT_ALPHABET)
+            assert str(err.value) == message, text
+        with pytest.raises(ValueError, match="^bad atom list in 'a\\(x\\)'$"):
             parse_word("a(x)")
 
     def test_support_is_occurrence_set(self):
