@@ -259,15 +259,11 @@ class SymbolicAutomaton:
 # -- text format ------------------------------------------------------------
 
 def _parse_spec(token, line_no):
-    """name or name(v1,...,vk) -> (name, vars)."""
+    """name or name(v1,...,vk) -> (name, vars); no name may be empty,
+    and name() has no vars."""
     name, paren, body = token.partition("(")
-    vars_ = ()
-    if paren:
-        if not body.endswith(")"):
-            raise AutomatonFormatError(f"malformed {token!r}", line_no)
-        if body != ")":
-            vars_ = tuple(body[:-1].split(","))
-    if not name:
+    vars_ = tuple(body[:-1].split(",")) if paren and body != ")" else ()
+    if not name or paren and not body.endswith(")") or "" in vars_:
         raise AutomatonFormatError(f"malformed {token!r}", line_no)
     return name, vars_
 

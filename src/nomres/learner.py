@@ -18,8 +18,10 @@ of a.e for every letter a and column e, and, suffix-closed, those of E.
 Its cells s.a.e are cells of the extension labels s.a, so X(s) is read
 off `answers`.  X(s1) <= pi.X(s2) is the letter-by-letter check itself,
 so one comparison decides a placement; the letters are walked only at
-the first placement that fails, to name the letter and column of the
-defect as the search has always named them.
+the first placement that fails, comparing the rows of the concrete
+words s1.a and pi(s2).a to name the letter and column of the defect.
+Rows are equivariant, so the row of any renamed word of S u S.Sigma is
+read off `answers` at its canonical cell words (`row_of`).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Optional
 from .orbits import (
     Word,
     EMPTY_WORD,
-    canonicalize_with_perm,
+    canonicalize,
     count_word_orbits,
     enumerate_word_orbits,
     letter_patterns,
@@ -44,7 +46,6 @@ from .rows import (
     dedup_by_orbit,
     first_difference,
     is_join_irreducible,
-    landing,
     placed_below,
     placed_leq,
     row_leq,
@@ -143,17 +144,12 @@ class ObservationTable:
 
     def row_of(self, w: Word) -> Row:
         """The row of any concrete word in the closure of S u S.Sigma,
-        re-based on its least support (placements stay cheap that way)."""
+        read off the answers at its canonical cell words and re-based on
+        its least support (placements stay cheap that way)."""
         self._require_filled()
-        pattern, perm = canonicalize_with_perm(w)
-        return self._rows[pattern].reduced().apply_perm(perm)
-
-    def _extension_pattern(self, label: Word, letter):
-        """row_of(label + letter) without building it: the least-support
-        row of the canonical label, and the atoms its support stands for."""
-        pattern, perm = canonicalize_with_perm(label + letter)
-        base = self._rows[pattern].reduced()
-        return base, tuple(perm[a] for a in base.support)
+        return Row.build(
+            w, self.columns, lambda e: self.answers[canonicalize(w + e)]
+        ).reduced()
 
     # -- derived families -------------------------------------------------
 
@@ -292,14 +288,9 @@ class ObservationTable:
             s2c = s2.rename(placement)
             joint = frozenset(s1.atoms()) | frozenset(s2c.atoms())
             for letter in self._letters(joint):
-                # row_of(s1 + letter) <= row_of(s2c + letter), decided on
-                # the least-support rows and where their supports meet
-                r1, atoms1 = self._extension_pattern(s1, letter)
-                r2, atoms2 = self._extension_pattern(s2c, letter)
-                if not placed_leq(r1, r2, landing(atoms1, atoms2)):
-                    return (s1, s2c, letter, first_difference(
-                        self.row_of(s1 + letter), self.row_of(s2c + letter)
-                    ))
+                r1, r2 = self.row_of(s1 + letter), self.row_of(s2c + letter)
+                if not row_leq(r1, r2):
+                    return s1, s2c, letter, first_difference(r1, r2)
         return None
 
     def _letters(self, joint):
@@ -364,10 +355,11 @@ class ObservationTable:
             for letter in self._letters(owner_atoms):
                 if forgotten.intersection(letter.atoms):
                     continue
-                target, atoms = self._extension_pattern(r.owner, letter)
+                target = self.row_of(r.owner + letter)
                 scope = sorted({*regs, *letter.atoms})
                 # scope atoms off the target's support stay None
-                tgt = [~atoms.index(a) if a in atoms else None for a in scope]
+                at = {a: ~j for j, a in enumerate(target.support)}
+                tgt = [at.get(a) for a in scope]
                 for j, cand in enumerate(reduced):
                     sup = cand.support
                     for inj in placed_below(cand, target, range(len(sup)), tgt):

@@ -148,10 +148,11 @@ class Word(tuple):
 EMPTY_WORD = Word()
 
 
-# A letter token: a tag, then its atoms in parentheses, each ASCII decimal
-# digits (int() would also read 1_0, +3 and other scripts' digits).
-# `tag()` reads as the bare tag.
-_LETTER_RE = re.compile(rf"({_TAG})(?:\(((?:[0-9]+(?:,[0-9]+)*)?)\))?")
+# A letter token as `Letter.render` writes it: a tag, then its atoms, if
+# any, in parentheses, each ASCII decimal digits without a leading zero
+# (int() would also read 01, 1_0, +3 and other scripts' digits).
+_ATOM = "(?:0|[1-9][0-9]*)"
+_LETTER_RE = re.compile(rf"({_TAG})(?:\(({_ATOM}(?:,{_ATOM})*)\))?")
 
 
 def _bad_letter(token):
@@ -159,7 +160,7 @@ def _bad_letter(token):
     m = re.fullmatch(rf"({_TAG})(?:\(([^()]*)\))?", token)
     if m is None:
         return ValueError(f"bad letter {token!r}")
-    if re.fullmatch(r"-?[0-9]+(?:,-?[0-9]+)*", m[2]):
+    if "-" in m[2] and re.fullmatch(r"-?[0-9]+(?:,-?[0-9]+)*", m[2]):
         return ValueError(f"negative atom in {token!r}")
     return ValueError(f"bad atom list in {token!r}")
 
@@ -209,12 +210,6 @@ def canonicalize(w: Word) -> Word:
             atoms.append(relabel[a])
         letters.append(Letter(letter.tag, tuple(atoms)))
     return Word(letters)
-
-
-def canonicalize_with_perm(w: Word):
-    """Canonical form plus a renaming p with ``pattern.rename(p) == w``."""
-    pattern = canonicalize(w)
-    return pattern, dict(zip(pattern.atoms(), w.atoms()))
 
 
 def set_partition_labels(n: int, used: int = 0):

@@ -310,21 +310,6 @@ class Row:
         _check_current(self)
         return bool(self.bits >> self.columns.position(e, self.support) & 1)
 
-    def apply_perm(self, p) -> "Row":
-        """The row renamed by ``p``, a dict injective on the owner's atoms."""
-        _check_current(self)
-        moved = Row(self.owner.rename(p), (p[a] for a in self.support), 0,
-                    self.columns)
-        # a bijection between the two supports: each basis instance meets
-        # exactly one instance of the other basis
-        up, _ = self.columns.placement_map(
-            len(self.support),
-            len(moved.support),
-            landing([p[a] for a in self.support], moved.support),
-        )
-        moved.bits = _spread(self.bits, up)
-        return moved
-
     def _removable(self, atom) -> bool:
         """Is the subset unchanged when this atom is swapped with a fresh one?"""
         pattern = tuple((i, i) for i, a in enumerate(self.support) if a != atom)

@@ -165,6 +165,32 @@ def make_row(columns, support, bits):
     return Row(owner, support, mask, columns)
 
 
+def renamed_values(row, p):
+    """The values of the row renamed by ``p``, a dict injective on its
+    support, as a function of concrete columns: the renamed row holds e
+    exactly when the row holds e renamed back, each atom of e off the
+    image going to a distinct atom above everything in sight."""
+    back = {p[a]: a for a in row.support}
+    above = max([*row.support, *back], default=-1) + 1
+
+    def value(e):
+        q = dict(back)
+        for a in e.atoms():
+            if a not in q:
+                q[a] = above + len(q)
+        return row.value(e.rename(q))
+
+    return value
+
+
+def renamed(row, p):
+    """The row renamed by ``p``, built value by value through `Row.value`
+    on the basis of the image of its support."""
+    image = [p[a] for a in row.support]
+    bits = basis_bits(row.columns, image, renamed_values(row, p))
+    return Row(row.owner.rename(p), image, bits, row.columns)
+
+
 def random_row(rng, columns):
     support = frozenset() if rng.random() < 0.4 else frozenset((0,))
     basis = columns.instances(support)

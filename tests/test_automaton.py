@@ -69,6 +69,16 @@ class TestTextFormat:
         with pytest.raises(AutomatonFormatError):
             parse(bad)
 
+    @pytest.mark.parametrize("line", [
+        "trans q a(x,) q", "trans q a(,x) q", "trans q(,) a(x) q", "trans q a(x) q(,)",
+    ])
+    def test_empty_variable_names_rejected(self, line):
+        with pytest.raises(AutomatonFormatError, match="malformed"):
+            parse(f"alphabet a 1\nstate q 0\n{line}\n")
+        # q() is the zero-register spelling of q
+        aut = parse("alphabet a 1\nstate q 0\ntrans q() a(x) q()\n")
+        assert aut.transitions[0].src_vars == aut.transitions[0].dst_vars == ()
+
     def test_reports_line_numbers(self):
         with pytest.raises(AutomatonFormatError) as err:
             parse("alphabet a 1\nstate q zero\n")

@@ -517,7 +517,7 @@ def _malformed(rng, text, aut):
 
 
 BAD_LETTERS = ("a(1", "a(", "a(1,", "zz(1)", "a(1,2)", "a", f"a({HUGE})", "a(-1)",
-               "a(x)", "!!", "a)1(", "a(1_0)", "a(+3)", "a(\u0663)")
+               "a(x)", "!!", "a)1(", "a(1_0)", "a(+3)", "a(\u0663)", "a(01)")
 
 
 class TestUnwritableTags:

@@ -1,5 +1,7 @@
 import hashlib
+import random
 import time
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -7,9 +9,11 @@ import pytest
 from nomres.orbits import (
     AlphabetSpec,
     EMPTY_WORD,
+    Letter,
     Word,
     canonicalize,
     enumerate_word_orbits,
+    fresh_atom,
     letter_patterns,
     parse_word,
     partial_injections,
@@ -31,7 +35,7 @@ from nomres.rows import _realize, first_difference, landing, placed_leq, row_leq
 from nomres.teacher import MembershipOracle, for_corpus, for_language
 from nomres import corpus
 
-from conftest import SUCCESS_TARGETS, admits, listed_below
+from conftest import SUCCESS_TARGETS, admits, listed_below, renamed
 
 A1 = AlphabetSpec([("a", 1)])
 
@@ -387,11 +391,24 @@ class TestConsistency:
             assert searched and len(set(searched)) == len(searched), (name, searched)
 
 
+_ROWS = weakref.WeakKeyDictionary()  # table -> {(l, column version, word): row}
+
+
+def _row_of(t, w):
+    """``t.row_of(w)``, kept per table and table state: the reference
+    searches below ask for one concrete row many times over."""
+    rows = _ROWS.setdefault(t, {})
+    key = (t.length, t.columns.version, w)
+    if key not in rows:
+        rows[key] = t.row_of(w)
+    return rows[key]
+
+
 def _reference_leq(t, w1, w2):
     """row(w1) <= row(w2) twice over, from concrete renamed rows: once
     through row_of + row_leq, once straight off the membership answers
     on every column instance over the atoms of both words."""
-    by_rows = row_leq(t.row_of(w1), t.row_of(w2))
+    by_rows = row_leq(_row_of(t, w1), _row_of(t, w2))
     joint = frozenset(w1.atoms()) | frozenset(w2.atoms())
     by_answers = all(
         not _answer(t, w1, e) or _answer(t, w2, e)
@@ -453,9 +470,6 @@ class TestPatternComparison:
             for letter in _letters(t, joint):
                 w1, w2 = s1 + letter, s2c + letter
                 expected = _reference_leq(t, w1, w2)
-                r1, atoms1 = t._extension_pattern(s1, letter)
-                r2, atoms2 = t._extension_pattern(s2c, letter)
-                assert placed_leq(r1, r2, landing(atoms1, atoms2)) == expected
                 checked += 1
                 if not expected and reference_defect is None:
                     r1, r2 = t.row_of(w1), t.row_of(w2)
@@ -475,15 +489,40 @@ class TestPatternComparison:
         # Ak:2's table has a defect (test_known_inconsistent_fixture)
         assert t.find_consistency_defect() == reference_defect
 
+    @pytest.mark.parametrize("name,length,columns", TABLES)
+    def test_row_of_renamed_labels(self, name, length, columns):
+        """The row of every label of S u S.Sigma, renamed into a wider
+        atom range, holds the answer of each of its cells, sits on its
+        least support and is in the orbit of the label's stored row."""
+        t = table_for(name, length=length, columns=columns)
+        rng = random.Random(53)
+        for label in t.all_labels():
+            atoms = sorted(frozenset(label.atoms()))
+            image = rng.sample(range(3 * len(atoms) + 5), len(atoms))
+            w = label.rename(dict(zip(atoms, image)))
+            r, sup = t.row_of(w), frozenset(image)
+            for e in {*t.columns.instances(r.support_set), *t.columns.instances(sup)}:
+                assert r.value(e) == _answer(t, w, e), (w.render(), e.render())
+            # an atom is in the least support iff swapping it with a
+            # fresh atom changes some answer
+            fresh = fresh_atom(sup)
+            wide = t.columns.instances(sup | {fresh})
+            least = tuple(a for a in sorted(sup) if any(
+                _answer(t, w, e) != _answer(t, w, e.rename({a: fresh, fresh: a}))
+                for e in wide
+            ))
+            assert r.support == least, w.render()
+            assert r.orbit_key() == t.row(label).orbit_key(), w.render()
+
 
 def _reference_defect(t):
     """The first consistency defect of a plain label-by-label search:
     every placed pair, every letter, rows compared by row_leq."""
     for s1, s2c in _placed_pairs(t):
-        if s2c == s1 or not row_leq(t.row_of(s1), t.row_of(s2c)):
+        if s2c == s1 or not row_leq(_row_of(t, s1), _row_of(t, s2c)):
             continue
         for letter in _letters(t, frozenset(s1.atoms()) | frozenset(s2c.atoms())):
-            r1, r2 = t.row_of(s1 + letter), t.row_of(s2c + letter)
+            r1, r2 = _row_of(t, s1 + letter), _row_of(t, s2c + letter)
             if not row_leq(r1, r2):
                 return (s1, s2c, letter, first_difference(r1, r2))
     return None
@@ -492,11 +531,11 @@ def _reference_defect(t):
 def _verdict(t, s1, s2c):
     """None when row(s1) is not below row(s2c); otherwise the index of
     the first letter telling the extensions apart, or -1 for none."""
-    if not row_leq(t.row_of(s1), t.row_of(s2c)):
+    if not row_leq(_row_of(t, s1), _row_of(t, s2c)):
         return None
     joint = frozenset(s1.atoms()) | frozenset(s2c.atoms())
     for i, letter in enumerate(_letters(t, joint)):
-        if not row_leq(t.row_of(s1 + letter), t.row_of(s2c + letter)):
+        if not row_leq(_row_of(t, s1 + letter), _row_of(t, s2c + letter)):
             return i
     return -1
 
@@ -606,8 +645,8 @@ def _reindexed_extension_class(t, s):
     for letter in t._letters(frozenset(atoms)):
         joint = dict.fromkeys((*atoms, *letter.atoms))
         at = {a: i for i, a in enumerate(joint)}
-        base, image = t._extension_pattern(s, letter)
-        key.append((base.bits, tuple(at[a] for a in image)))
+        base = t.row_of(s + letter)
+        key.append((base.bits, tuple(at[a] for a in base.support)))
     return tuple(key)
 
 
@@ -756,6 +795,37 @@ class TestBuildHypothesis:
         assert expected
         assert hypothesis_agreement_violations(t, hyp) == expected
 
+
+    @pytest.mark.parametrize(
+        "name,length,columns",
+        [("Lng", 4, ["a(0) a(0) a(0) a(1)"]), ("Ak:2", 2, ["a(0) a(0)"]),
+         ("Lr", 2, ["a(0) a(1) a(0)"])],
+        ids=["Lng", "Ak:2", "Lr"],
+    )
+    def test_lines_place_their_target_below(self, name, length, columns):
+        """Read back as atoms, every transition line places its
+        destination state's row below the row of its source's owner
+        extended by its letter, compared value by value; guessed atoms
+        are fresh."""
+        t = table_for(name, length=length, columns=columns)
+        uppers = (t.row(s) for s in t.s_labels())
+        states = [r.reduced() for r in rows.dedup_by_orbit(filter(t._is_ji, uppers))]
+        hyp = t.build_hypothesis(verify_preconditions=False).automaton
+        assert hyp.transitions
+        for line in hyp.transitions:
+            src, dst = states[int(line.src[1:])], states[int(line.dst[1:])]
+            atoms = dict(zip(line.src_vars, src.support))
+            fresh = fresh_atom(src.owner.atoms())
+            for v in line.letter_vars + line.dst_vars:
+                if v not in atoms:
+                    atoms[v] = fresh + len(atoms)
+            letter = Letter(line.letter_tag, tuple(atoms[v] for v in line.letter_vars))
+            placed = renamed(dst, {a: atoms[v] for a, v in zip(dst.support, line.dst_vars)})
+            target = t.row_of(src.owner + letter)
+            assert not any(
+                placed.value(e) and not target.value(e)
+                for e in t.columns.instances(placed.support_set | target.support_set)
+            ), line.render()
 
     @pytest.mark.parametrize(
         "name, depth, max_l",

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +11,6 @@ from nomres.orbits import (
     Word,
     EMPTY_WORD,
     canonicalize,
-    canonicalize_with_perm,
     count_partial_permutations,
     count_word_orbits,
     enumerate_word_orbits,
@@ -43,6 +43,12 @@ def perms(max_atom=6):
     return st.permutations(list(range(max_atom))).map(
         lambda img: dict(zip(range(len(img)), img))
     )
+
+
+def witness(pattern, w):
+    """The renaming that sends the atoms of ``pattern`` onto those of w,
+    position by position."""
+    return dict(zip(pattern.atoms(), w.atoms()))
 
 
 def reference_word_orbits(alphabet, max_len):
@@ -89,6 +95,9 @@ class TestWordBasics:
             ("a(+3)", "bad atom list in 'a(+3)'"),
             ("a(\u0663)", "bad atom list in 'a(\u0663)'"),
             ("a(-1)", "negative atom in 'a(-1)'"),
+            ("a(01)", "bad atom list in 'a(01)'"),
+            ("a(1,00)", "bad atom list in 'a(1,00)'"),
+            ("a()", "bad atom list in 'a()'"),
             ("a(1", "bad letter 'a(1'"),
             ("a(1) a(2,3) b(1)", "tag 'a' takes 1 atoms, got 2"),
             ("a(1) b(1) a(x)", "unknown tag 'b'"),
@@ -99,6 +108,28 @@ class TestWordBasics:
             assert str(err.value) == message, text
         with pytest.raises(ValueError, match="^bad atom list in 'a\\(x\\)'$"):
             parse_word("a(x)")
+
+    def test_accepted_tokens_render_to_themselves(self):
+        """Seeded: a token `parse_word` reads is the letter's one written
+        form, so an arity-0 tag takes no parentheses and an atom no
+        leading zero."""
+        rng = random.Random(17)
+        alphabet = AlphabetSpec([("a", 1), ("b", 2), ("c", 0)])
+        accepted = 0
+        for _ in range(20000):
+            token = rng.choice("abc") + "".join(
+                rng.choice("(),0123-x") for _ in range(rng.randrange(8))
+            )
+            for spec in (alphabet, None):
+                try:
+                    w = parse_word(token, spec)
+                except ValueError:
+                    continue
+                accepted += 1
+                assert w.render() == token
+        assert accepted > 1000
+        with pytest.raises(ValueError, match="^bad atom list in 'c\\(\\)'$"):
+            parse_word("c()", alphabet)
 
     def test_support_is_occurrence_set(self):
         assert frozenset(parse_word("a(5) a(5)").atoms()) == frozenset((5,))
@@ -167,15 +198,15 @@ class TestCanonicalize:
 
     @given(words())
     def test_completeness_constructs_witness(self, w):
-        pattern, perm = canonicalize_with_perm(w)
-        assert pattern.rename(perm) == w
+        pattern = canonicalize(w)
+        assert pattern.rename(witness(pattern, w)) == w
 
     @given(words(), words())
     def test_equal_patterns_mean_same_orbit(self, w1, w2):
-        if canonicalize(w1) == canonicalize(w2):
+        pattern = canonicalize(w1)
+        if pattern == canonicalize(w2):
             # build the witness permutation through the shared pattern
-            p1, q1 = canonicalize_with_perm(w1)
-            p2, q2 = canonicalize_with_perm(w2)
+            q1, q2 = witness(pattern, w1), witness(pattern, w2)
             assert w1.rename({b: q2[a] for a, b in q1.items()}) == w2
 
 
