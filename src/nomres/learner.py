@@ -26,6 +26,7 @@ read off `answers` at its canonical cell words (`row_of`).
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, asdict
 from typing import Optional
@@ -36,6 +37,7 @@ from .orbits import (
     canonicalize,
     count_word_orbits,
     enumerate_word_orbits,
+    fresh_atom,
     letter_patterns,
     split_into_a_orbits,
 )
@@ -50,7 +52,6 @@ from .rows import (
     placed_leq,
     row_leq,
     _check_deadline,
-    _realize,
 )
 from .automaton import (
     SymbolicAutomaton,
@@ -71,14 +72,14 @@ class TableNotConsistent(RuntimeError):
 class ObservationTable:
     """Membership observations over row labels S u S.Sigma and columns E.
 
-    ``deadline``, a ``time.monotonic()`` value or None, bounds the
+    The steps only grow S or E; `fill` then asks its oracle for the new
+    cells.  ``deadline``, a ``time.monotonic()`` value or None, bounds the
     table's work: every fill and every search of the table raises
     `OutOfTime` once it has passed.
     """
 
-    def __init__(self, alphabet, oracle=None, deadline=None):
+    def __init__(self, alphabet, deadline=None):
         self.alphabet = alphabet
-        self.oracle = oracle
         self.deadline = deadline
         self.length = 0  # S is every word orbit of length <= this
         self.columns = ColumnSet()
@@ -111,13 +112,11 @@ class ObservationTable:
             self.answers[w] = bool(oracle.member(w))
         return self.answers[w]
 
-    def fill(self, oracle=None):
-        """Build rows for every S u S.Sigma representative, querying once
-        per new cell word, which is canonical by construction.  Raises
-        `OutOfTime` once the deadline has passed, leaving it unfilled."""
-        oracle = oracle or self.oracle
-        if oracle is None:
-            raise ValueError("no membership oracle")
+    def fill(self, oracle):
+        """Build rows for every S u S.Sigma representative, asking the
+        oracle once per new cell word, which is canonical by
+        construction.  Raises `OutOfTime` once the deadline has passed,
+        leaving it unfilled."""
         for letter in self._letters(frozenset()):
             for e in self.columns.instances(letter.atoms):
                 self._extended.add(Word([letter]) + e)
@@ -192,8 +191,6 @@ class ObservationTable:
     def close_step(self, defect: Word):
         """Grow S to all word orbits up to the defect's length."""
         self.length = max(self.length, len(defect))
-        if self.oracle is not None:
-            self.fill()
         return self
 
     # -- consistency ------------------------------------------------------
@@ -226,11 +223,11 @@ class ObservationTable:
         return len(x.support), x.bits
 
     def _ordered_pairs(self, labels):
-        """Every (s1, s2, placement) with s1 and s2 in ``labels``,
-        ``placement`` a renaming of s2's atoms relative to s1, and
-        row(s1) <= row(s2.rename(placement)), in search order;
-        placements cover overlapping supports.  Raises `OutOfTime`
-        before a label pair (s1, s2), and before each placement of it
+        """Every (s1, s2, inj) with s1 and s2 in ``labels``, ``inj`` an
+        injection of s2's atoms into s1's, as (atom of s2, atom of s1)
+        pairs in `placed_below` order, and row(s1) <= inj.row(s2), the
+        other atoms of s2 fresh, in search order.  Raises `OutOfTime`
+        before a label pair (s1, s2), and before each injection of it
         that the atom tables admit, once the table's deadline has passed.
 
         row(s1) <= inj.row(s2) iff inj^-1.row(s1) <= row(s2): the atom
@@ -241,24 +238,20 @@ class ObservationTable:
         for s in labels:
             sup, r = sorted(frozenset(s.atoms())), self._rows[s].reduced()
             names = [r.support.index(a) if a in r.support_set else None for a in sup]
-            listed.append((s, sup, r, names, [None if i is None else ~i for i in names]))
-        for s1, sup1, r1, tgt, _ in listed:
-            for s2, sup2, r2, _, src in listed:
+            listed.append((s, r, names, [None if i is None else ~i for i in names]))
+        for s1, r1, tgt, _ in listed:
+            for s2, r2, _, src in listed:
                 _check_deadline(self.deadline)
                 for inj in placed_below(r1, r2, src, tgt, self.deadline):
-                    yield s1, s2, _realize(inj, sup2, sup1)
+                    yield s1, s2, inj
 
-    def _extensions_below(self, s1: Word, s2: Word, placement) -> bool:
-        """Is row(s1.a) <= pi.row(s2.a) for every letter a, pi the
-        placement of s2?  X(s).(a.e) is row(s.a).e, so this is X(s1) <=
-        pi.X(s2): one comparison on the labels' full supports, whose
-        atoms are their own positions, so the pattern is the placement."""
-        x1, x2 = self._extension_row(s1), self._extension_row(s2)
-        # pi^-1 places X(s1): atom pi(j) of s1 lands on atom j of s2
-        pattern = tuple(sorted(
-            (i, j) for j, i in placement.items() if i in x1.support_set
-        ))
-        return placed_leq(x1, x2, pattern)
+    def _extensions_below(self, s1: Word, s2: Word, inj) -> bool:
+        """Is row(s1.a) <= inj.row(s2.a) for every letter a?  X(s).(a.e)
+        is row(s.a).e, so this is X(s1) <= inj.X(s2): one comparison on
+        the labels' full supports, whose atoms are their own positions."""
+        # inj^-1 places X(s1): atom c of s1 lands on atom d of s2
+        pattern = tuple(sorted((c, d) for d, c in inj))
+        return placed_leq(self._extension_row(s1), self._extension_row(s2), pattern)
 
     def find_consistency_defect(self):
         """A tuple (s1, s2, a, e) with row(s1) <= row(s2) yet a.e telling
@@ -282,10 +275,13 @@ class ObservationTable:
         first = {}
         for s in self.s_labels():
             first.setdefault(self._extension_class(s), s)
-        for s1, s2, placement in self._ordered_pairs(first.values()):
-            if self._extensions_below(s1, s2, placement):
+        for s1, s2, inj in self._ordered_pairs(first.values()):
+            if self._extensions_below(s1, s2, inj):
                 continue
-            s2c = s2.rename(placement)
+            # s2's unplaced atoms go to fresh atoms above both labels', in order
+            sup2, placed = sorted(frozenset(s2.atoms())), dict(inj)
+            fresh = itertools.count(fresh_atom((*s1.atoms(), *sup2)))
+            s2c = s2.rename({a: placed[a] if a in placed else next(fresh) for a in sup2})
             joint = frozenset(s1.atoms()) | frozenset(s2c.atoms())
             for letter in self._letters(joint):
                 r1, r2 = self.row_of(s1 + letter), self.row_of(s2c + letter)
@@ -306,8 +302,6 @@ class ObservationTable:
         """Add the orbit of a.e (and its suffixes, keeping E suffix-closed)."""
         _, _, letter, e = defect
         self.columns.add(Word([letter]) + e)
-        if self.oracle is not None:
-            self.fill()
         return self
 
     # -- counterexamples --------------------------------------------------
@@ -315,8 +309,6 @@ class ObservationTable:
     def handle_counterexample(self, cex: Word):
         """Add the orbits of every suffix of the counterexample to E."""
         self.columns.add(cex)
-        if self.oracle is not None:
-            self.fill()
         return self
 
     # -- hypothesis -------------------------------------------------------
@@ -361,12 +353,13 @@ class ObservationTable:
                 at = {a: ~j for j, a in enumerate(target.support)}
                 tgt = [at.get(a) for a in scope]
                 for j, cand in enumerate(reduced):
-                    sup = cand.support
-                    for inj in placed_below(cand, target, range(len(sup)), tgt):
-                        placement = _realize(((sup[d], scope[c]) for d, c in inj),
-                                             sup, owner_atoms.union(scope))
-                        transitions.append(self._line(
-                            name, regs, letter, f"q{j}", tuple(placement[a] for a in sup)))
+                    n = len(cand.support)
+                    for inj in placed_below(cand, target, range(n), tgt):
+                        # an unplaced register is guessed: a distinct sentinel
+                        placed = dict(inj)
+                        dst = tuple(scope[placed[d]] if d in placed else -1 - d
+                                    for d in range(n))
+                        transitions.append(self._line(name, regs, letter, f"q{j}", dst))
         automaton = SymbolicAutomaton(
             self.alphabet, states, initial, final, transitions
         )
@@ -486,7 +479,8 @@ def learn(teacher, budget: LearnBudget = None, log=None) -> LearnResult:
     start = time.monotonic()
     deadline = None if budget.wall_time is None else start + budget.wall_time
     emit = log if log is not None else (lambda line: None)
-    table = ObservationTable(teacher.alphabet, teacher.membership, deadline)
+    table = ObservationTable(teacher.alphabet, deadline)
+    oracle = teacher.membership
 
     def finish(hyp, reason=None):
         stats.final_l = table.length
@@ -498,7 +492,7 @@ def learn(teacher, budget: LearnBudget = None, log=None) -> LearnResult:
 
     consistent_at = None
     try:
-        table.fill()
+        table.fill(oracle)
         while True:
             while True:
                 _check_deadline(deadline)
@@ -512,7 +506,7 @@ def learn(teacher, budget: LearnBudget = None, log=None) -> LearnResult:
                         f"row={table.row(defect).render()}; "
                         f"growing S to length {len(defect)}"
                     )
-                    table.close_step(defect)
+                    table.close_step(defect).fill(oracle)
                     stats.closedness_rounds += 1
                 # a search that found no defect holds until the table changes
                 state = (table.length, table.columns.version)
@@ -527,7 +521,7 @@ def learn(teacher, budget: LearnBudget = None, log=None) -> LearnResult:
                         f"not-consistent ({s1.render()}, {s2.render()}) "
                         f"split by {letter.render()}.{e.render()}; growing E"
                     )
-                    table.consistency_step(mismatch)
+                    table.consistency_step(mismatch).fill(oracle)
                     stats.consistency_rounds += 1
                 if defect is None and mismatch is None:
                     break
@@ -544,6 +538,6 @@ def learn(teacher, budget: LearnBudget = None, log=None) -> LearnResult:
             if cex is None:
                 return finish(hyp)
             emit(f"counterexample {cex.render()}")
-            table.handle_counterexample(cex)
+            table.handle_counterexample(cex).fill(oracle)
     except OutOfTime:
         return finish(None, "wall_time")

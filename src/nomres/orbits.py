@@ -125,9 +125,8 @@ class Word(tuple):
 
     def rename(self, mapping):
         """Each atom a replaced by ``mapping.get(a, a)``."""
-        return Word(
-            Letter(l.tag, tuple(mapping.get(a, a) for a in l.atoms)) for l in self
-        )
+        return Word(tuple.__new__(Letter, (tag, tuple(mapping.get(a, a) for a in atoms)))
+                    for tag, atoms in self)
 
     def suffixes(self):
         """All suffixes, longest first, ending with the empty word."""
@@ -202,13 +201,13 @@ def canonicalize(w: Word) -> Word:
     """The orbit-canonical form: atoms become 0, 1, ... by first occurrence."""
     relabel = {}
     letters = []
-    for letter in w:
-        atoms = []
-        for a in letter.atoms:
+    for tag, atoms in w:
+        out = []
+        for a in atoms:
             if a not in relabel:
                 relabel[a] = len(relabel)
-            atoms.append(relabel[a])
-        letters.append(Letter(letter.tag, tuple(atoms)))
+            out.append(relabel[a])
+        letters.append(tuple.__new__(Letter, (tag, tuple(out))))
     return Word(letters)
 
 

@@ -17,20 +17,22 @@ same images.  Only the atoms of equal signature are permuted, and a
 class of them that the row cannot tell apart, because swapping any two
 fixes the row, is listed in one order: the others give the same image.
 
-A placement is a plain dict {own atom: placed atom}, injective on the
-support of the row it places.  Whether a placed copy of r1 sits below
-(or equals) r2 depends only on its pattern: which positions of r1's
-support land on which positions of r2's support.  Every other atom
-lands outside supp(r2), where any fresh atom does the same.
+A placement is its pattern: the pairs (i, j) where position i of r1's
+support lands on position j of r2's support.  Whether a placed copy of
+r1 sits below (or equals) r2 depends on nothing else: every other atom
+lands outside supp(r2), where any fresh atom does the same.  The
+converse comparison, r2 against the copy, is placed by the inverse
+pattern.
 
 A basis is one block per column orbit (`ColumnSet`).  A check
-(`placed_leq`) reads the flat map of its pattern, which the column set
-caches for every later check and spread until the columns grow.  Each
-entry of a flat map is computed from the shape of its own instance the
-first time something reads it (`_Half`): a check stops at its first
-failing bit, and only equality tests read the `down` half, so most
-entries are never built.  No word is built; a concrete witness column
-is found by one loop over joint column instances (`first_difference`).
+(`placed_leq`) reads the flat map of its pattern, and an equality test
+the map of the inverse pattern too; the column set caches each for
+every later check and spread until the columns grow.  Each entry of a
+flat map is computed from the shape of its own instance the first time
+something reads it (`_FlatMap`): a check stops at its first failing
+bit, so most entries are never built.  No word is built; a concrete
+witness column is found by one loop over joint column instances
+(`first_difference`).
 
 The atom-free and one-atom blocks are decided per atom, once per row
 pair (`_atom_tables`): in a one-atom block, placed atom i meets only
@@ -56,7 +58,6 @@ from .orbits import (
     Word,
     EMPTY_WORD,
     canonicalize,
-    fresh_atom,
     partial_injections,
     split_into_a_orbits,
 )
@@ -193,22 +194,19 @@ class ColumnSet:
 
         ``pattern`` lists the pairs (i, j) where atom i of the placed
         support lands on atom j of the target support; the other placed
-        atoms land outside it.  Returns ``(up, down)``: ``up[i]`` masks
-        the target basis positions that share a joint column instance
-        with placed basis position i, and ``down[j]`` the placed
-        positions sharing one with target position j.  Each half is a
-        dict whose entries are computed the first time they are read
-        (`_Half`) and kept with the map.
+        atoms land outside it.  Entry i of the map masks the target
+        basis positions that share a joint column instance with placed
+        basis position i; the map of the inverse pattern, from n2 atoms
+        to n1, relates them the other way.  The map is a dict whose
+        entries are computed the first time they are read (`_FlatMap`).
         """
         key = (n1, n2, pattern)
         cached = self._maps.get(key)
         if cached is None:
-            sent1, sent2 = [-1] * n1, [-1] * n2
+            sent = [-1] * n1
             for i, j in pattern:
-                sent1[i], sent2[j] = j, i
-            cached = self._maps[key] = (
-                _Half(self, n1, n2, sent1), _Half(self, n2, n1, sent2)
-            )
+                sent[i] = j
+            cached = self._maps[key] = _FlatMap(self, n1, n2, sent)
         return cached
 
     def __iter__(self):
@@ -224,9 +222,9 @@ class ColumnSet:
         return f"ColumnSet({[p.render() for p in self._patterns]})"
 
 
-class _Half(dict):
-    """One half of a placement map, from a side on n atoms to a side on
-    m atoms; each entry is computed the first time it is read.
+class _FlatMap(dict):
+    """A placement map, from a side on n atoms to a side on m atoms;
+    each entry is computed the first time it is read.
 
     Atom a of the own support goes to atom ``sent[a]`` of the other
     support, or outside it where that is -1.  An atom outside the own
@@ -239,7 +237,7 @@ class _Half(dict):
 
     def __init__(self, columns: ColumnSet, n: int, m: int, sent: list):
         # the layouts hold every block on n and on m atoms; no reference
-        # back to the column set, whose maps hold this half
+        # back to the column set, which holds this map
         self._own, self._layout = columns._block_index(n), columns._layout(m)
         self._blocks, self._n, self._m, self._sent = columns._blocks, n, m, sent
         self._free = (-1, *(x for x in range(m) if x not in sent))
@@ -255,12 +253,12 @@ class _Half(dict):
         return mask
 
 
-def _spread(bits: int, up) -> int:
-    """The union of ``up[i]`` over the set bits i of ``bits``."""
+def _spread(bits: int, flat) -> int:
+    """The union of ``flat[i]`` over the set bits i of ``bits``."""
     out = 0
     while bits:
         low = bits & -bits
-        out |= up[low.bit_length() - 1]
+        out |= flat[low.bit_length() - 1]
         bits ^= low
     return out
 
@@ -323,7 +321,7 @@ class Row:
         order of removal, so one pass suffices.  Every basis instance of
         the full support projects onto one instance of the least support,
         and all instances projecting onto it hold the same value, so the
-        bits spread down through the placement map.
+        bits spread through the placement map onto the least support.
         """
         if self._reduced is not None:
             return self._reduced
@@ -331,10 +329,10 @@ class Row:
         if len(least) == len(self.support):
             self._reduced = self
         else:
-            _, down = self.columns.placement_map(
-                len(least), len(self.support), landing(least, self.support)
+            flat = self.columns.placement_map(
+                len(self.support), len(least), landing(self.support, least)
             )
-            reduced = Row(self.owner, least, _spread(self.bits, down), self.columns)
+            reduced = Row(self.owner, least, _spread(self.bits, flat), self.columns)
             reduced._reduced = reduced
             self._reduced = reduced
         return self._reduced
@@ -363,11 +361,11 @@ class Row:
             ]
             # the s-th atom of a listing goes to atom s
             listings = (sum(orders, ()) for orders in itertools.product(*choices))
-            ups = (
-                self.columns.placement_map(n, n, tuple(sorted(zip(atoms, range(n)))))[0]
+            maps = (
+                self.columns.placement_map(n, n, tuple(sorted(zip(atoms, range(n)))))
                 for atoms in listings
             )
-            self._key = (n, min(_spread(r.bits, up) for up in ups))
+            self._key = (n, min(_spread(r.bits, m) for m in maps))
         return self._key
 
     def render(self) -> str:
@@ -379,7 +377,8 @@ class Row:
         return "{" + body + "}"
 
     def __repr__(self):
-        return f"Row({self.owner.render()!r}: {self.render()})"
+        stale = self.version != self.columns.version
+        return f"Row({self.owner.render()!r}: {'stale' if stale else self.render()})"
 
 
 def _atom_classes(r: Row) -> list:
@@ -407,10 +406,8 @@ def _atom_classes(r: Row) -> list:
     classes = []
     for _, group in itertools.groupby(ranked, key=signatures.__getitem__):
         atoms = tuple(group)
-        fixed = all(
-            _spread(r.bits, cs.placement_map(n, n, _swap(n, atoms[0], a))[0]) == r.bits
-            for a in atoms[1:]
-        )
+        fixed = all(placed_leq(r, r, _swap(n, atoms[0], a), equal=True)
+                    for a in atoms[1:])
         classes.append((atoms, fixed))
     return classes
 
@@ -443,11 +440,18 @@ def placed_leq(r1: Row, r2: Row, pattern: tuple, equal=False) -> bool:
     ``pattern`` pairs positions (i, j), increasing in i: atom i of r1's
     support lands on atom j of r2's support, and every other atom lands
     outside supp(r2).  Decided on the pattern's flat map, which stays
-    cached for the spread that usually follows.
+    cached for the spread that usually follows; ``equal`` then checks r2
+    against the copy on the inverse pattern's map, the same map when the
+    pattern is its own inverse.
     """
     _check_current(r1, r2)
-    up, down = r2.columns.placement_map(len(r1.support), len(r2.support), pattern)
-    return _fits(r1.bits, r2.bits, up, down, equal)
+    cs, n1, n2 = r2.columns, len(r1.support), len(r2.support)
+    if _meets(r1.bits, cs.placement_map(n1, n2, pattern), r2.bits):
+        return False
+    if not equal:
+        return True
+    inverse = tuple(sorted((j, i) for i, j in pattern))
+    return not _meets(r2.bits, cs.placement_map(n2, n1, inverse), r1.bits)
 
 
 def placed_below(r1: Row, r2: Row, src, tgt, deadline=None):
@@ -542,18 +546,13 @@ def _atom_tables(r1: Row, r2: Row):
     return forbid, outside_ok, unhit_ok
 
 
-def _fits(b1: int, b2: int, up, down, equal) -> bool:
-    """Is b1 below b2 (with ``equal``: equal to it) through ``(up, down)``?"""
-    return not _meets(b1, up, b2) and not (equal and _meets(b2, down, b1))
-
-
-def _meets(b1: int, up, b2: int) -> bool:
+def _meets(b1: int, flat, b2: int) -> bool:
     """Is some joint instance in b1 on one side and outside b2 on the
     other?"""
     missing = ~b2
     while b1:
         low = b1 & -b1
-        if up[low.bit_length() - 1] & missing:
+        if flat[low.bit_length() - 1] & missing:
             return True
         b1 ^= low
     return False
@@ -590,21 +589,6 @@ def row_eq(r1: Row, r2: Row) -> bool:
     return placed_leq(r1, r2, landing(r1.support, r2.support), equal=True)
 
 
-def _realize(mapping, own_support, avoid):
-    """Complete a partial placement of a support into a placement.
-
-    Unplaced atoms go to fresh atoms above everything in sight, so they
-    collide with nothing that later comparisons can observe.
-    """
-    full = dict(mapping)
-    nxt = fresh_atom(set(own_support) | set(avoid) | set(full.values()))
-    for a in own_support:
-        if a not in full:
-            full[a] = nxt
-            nxt += 1
-    return full
-
-
 def _survivors(t: Row, family, strict, deadline=None):
     """The bits, spread onto t's basis, of every placed copy of a family
     row that lands (strictly) below t, one family row after another;
@@ -617,8 +601,8 @@ def _survivors(t: Row, family, strict, deadline=None):
         for pattern in placed_below(y, t, range(len(y.support)), tgt):
             if strict and placed_leq(y, t, pattern, equal=True):
                 continue
-            up, _ = t.columns.placement_map(len(y.support), len(t.support), pattern)
-            yield _spread(y.bits, up)
+            yield _spread(y.bits, t.columns.placement_map(
+                len(y.support), len(t.support), pattern))
 
 
 def join_below(target: Row, family, strict=False) -> Row:

@@ -31,7 +31,7 @@ from nomres.learner import (
     hypothesis_agreement_violations,
     learn,
 )
-from nomres.rows import _realize, first_difference, landing, placed_leq, row_leq
+from nomres.rows import first_difference, landing, placed_leq, row_leq
 from nomres.teacher import MembershipOracle, for_corpus, for_language
 from nomres import corpus
 
@@ -52,36 +52,56 @@ def _answer(t, w, e):
 
 def table_for(name, length=0, columns=(), fill=True):
     entry = corpus.get(name)
-    t = ObservationTable(entry.automaton.alphabet, oracle=oracle_for(name))
+    t = ObservationTable(entry.automaton.alphabet)
     for c in columns:
         t.columns.add(parse_word(c))
     t.length = length
     if fill:
-        t.fill()
+        t.fill(oracle_for(name))
     return t
+
+
+def _realized(inj, own, avoid):
+    """The placement of the atoms ``own`` that extends the partial one
+    ``inj``: unplaced atoms go, in order, to fresh atoms above everything
+    in sight."""
+    full = dict(inj)
+    nxt = fresh_atom({*own, *avoid, *full.values()})
+    for a in own:
+        if a not in full:
+            full[a] = nxt
+            nxt += 1
+    return full
+
+
+def _placed(s1, s2, inj):
+    """s2 renamed by an injection of its atoms into s1's, its other
+    atoms fresh, as the consistency search renames a failing pair."""
+    return s2.rename(_realized(inj, sorted(frozenset(s2.atoms())), s1.atoms()))
 
 
 class TestFill:
     def test_initial_table_queries(self):
-        t = table_for("Ld")
+        oracle = oracle_for("Ld")
+        t = ObservationTable(oracle.alphabet).fill(oracle)
         # S u S.Sigma = {eps, a(0)}, E = {eps}: one orbit each
         assert t.answers == {
             EMPTY_WORD: False,
             parse_word("a(0)"): False,
         }
-        assert t.oracle.query_count == 2
+        assert oracle.query_count == 2
 
     def test_star_language(self):
         alph = A1
-        t = ObservationTable(alph, oracle=MembershipOracle(alph, predicate=lambda w: True))
-        t.fill()
+        t = ObservationTable(alph).fill(MembershipOracle(alph, predicate=lambda w: True))
         assert t.row(EMPTY_WORD).value(EMPTY_WORD)
 
     def test_refill_issues_no_new_queries(self):
-        t = table_for("Ld")
-        before = t.oracle.query_count
-        t.fill()
-        assert t.oracle.query_count == before
+        oracle = oracle_for("Ld")
+        t = ObservationTable(oracle.alphabet).fill(oracle)
+        before = oracle.query_count
+        t.fill(oracle)
+        assert oracle.query_count == before
 
     def test_entry_lookup_for_concrete_pairs(self):
         t = table_for("Ld", length=1, columns=["a(0)"])
@@ -102,11 +122,11 @@ class TestFillDeadline:
         t = table_for("Ld", length=2, columns=["a(0)"], fill=False)
         t.deadline = time.monotonic() - 1
         with pytest.raises(OutOfTime):
-            t.fill()
+            t.fill(oracle_for("Ld"))
         with pytest.raises(RuntimeError, match="not filled"):
             t.row(EMPTY_WORD)
         t.deadline = None
-        t.fill()
+        t.fill(oracle_for("Ld"))
         assert rows_of(t) == rows_of(table_for("Ld", length=2, columns=["a(0)"]))
 
     @pytest.mark.parametrize(
@@ -122,15 +142,19 @@ class TestFillDeadline:
         ],
         ids=["close_step", "consistency_step", "handle_counterexample"],
     )
-    def test_steps_pass_their_deadline_to_fill(self, step, grown):
+    def test_steps_leave_the_fill_to_the_caller(self, step, grown):
+        # a step only grows S or E: past the deadline it asks no query
+        # and leaves the table unfilled, and the fill after it gives the
+        # grown table's rows
         t = table_for("Ld")
+        asked = dict(t.answers)
         t.deadline = time.monotonic() - 1
-        with pytest.raises(OutOfTime):
-            step(t)
+        step(t)
+        assert t.answers == asked
         with pytest.raises(RuntimeError, match="not filled"):
             t.row(EMPTY_WORD)
         t.deadline = None
-        t.fill()
+        t.fill(oracle_for("Ld"))
         assert rows_of(t) == rows_of(table_for("Ld", **grown))
 
 
@@ -192,8 +216,8 @@ class TestOrderedPairsDeadline:
         t.deadline = 1.0
         yielded = []
         with pytest.raises(OutOfTime):
-            for s1, s2, placement in t._ordered_pairs(labels):
-                yielded.append((s1, s2.rename(placement)))
+            for s1, s2, inj in t._ordered_pairs(labels):
+                yielded.append((s1, _placed(s1, s2, inj)))
         return decided, built, yielded
 
     def test_stops_before_the_next_landing_of_the_same_pair(self, monkeypatch):
@@ -277,17 +301,17 @@ def _anc_pair_table(length):
     oracle = MembershipOracle(alphabet, predicate=lambda w: (
         len(w) >= 2 and w[-2].tag == w[-1].tag == "anc" and w[-2].atoms == w[-1].atoms
     ))
-    t = ObservationTable(alphabet, oracle=oracle)
+    t = ObservationTable(alphabet)
     t.length = length
-    return t.fill()
+    return t.fill(oracle)
 
 
 class TestConsistency:
     def test_star_language_consistent(self):
         alph = A1
-        t = ObservationTable(alph, oracle=MembershipOracle(alph, predicate=lambda w: True))
+        t = ObservationTable(alph)
         t.length = 1
-        t.fill()
+        t.fill(MembershipOracle(alph, predicate=lambda w: True))
         assert t.find_consistency_defect() is None
 
     def test_incomparable_rows_are_trivially_consistent(self):
@@ -306,13 +330,29 @@ class TestConsistency:
         # the pair itself is ordered
         assert row_leq(t.row_of(s1), t.row_of(s2))
 
+    def test_defect_renames_unplaced_atoms_above_both_labels(self):
+        # words of period two on two distinct atoms: the first placement
+        # that fails leaves the atom of a(0) off a(0) a(1), and the
+        # renamed label takes atom 2, the first above both labels' atoms
+        def alternating(w):
+            return all(w[i] == w[i + 2] for i in range(len(w) - 2)) and (
+                len(w) < 2 or w[0] != w[1])
+
+        t = ObservationTable(A1)
+        t.columns.add(parse_word("a(0) a(0)"))
+        t.length = 2
+        t.fill(MembershipOracle(A1, predicate=alternating))
+        defect = t.find_consistency_defect()
+        assert [x.render() for x in defect] == ["a(0) a(1)", "a(2)", "a(0)", "a(1)"]
+        assert defect == _reference_defect(t)
+
     def test_consistency_step_extends_columns_and_refines(self):
         t = table_for("Ak:2", length=2, columns=["a(0) a(0)"])
         defect = t.find_consistency_defect()
         _, _, letter, e = defect
         before = _reference_preorder(t)
         n_before = len(t.columns)
-        t.consistency_step(defect)
+        t.consistency_step(defect).fill(oracle_for("Ak:2"))
         assert len(t.columns) > n_before
         assert canonicalize(parse_word(letter.render()) + e) in t.columns
         after = _reference_preorder(t)
@@ -345,10 +385,10 @@ class TestConsistency:
         for s in t.s_labels():
             first.setdefault(t._extension_class(s), s)
         verdicts = []
-        for s1, s2, placement in t._ordered_pairs(first.values()):
-            by_letters = _verdict(t, s1, s2.rename(placement)) == -1
-            assert t._extensions_below(s1, s2, placement) == by_letters, (
-                s1.render(), s2.render(), placement
+        for s1, s2, inj in t._ordered_pairs(first.values()):
+            by_letters = _verdict(t, s1, _placed(s1, s2, inj)) == -1
+            assert t._extensions_below(s1, s2, inj) == by_letters, (
+                s1.render(), s2.render(), inj
             )
             verdicts.append(by_letters)
         assert True in verdicts
@@ -363,11 +403,6 @@ class TestConsistency:
     def test_extension_rows_ask_no_query(self, name, length, columns):
         t = table_for(name, length=length, columns=columns)
         asked = dict(t.answers)
-
-        def refuse(w):
-            raise AssertionError(f"membership query {w.render()}")
-
-        t.oracle = SimpleNamespace(member=refuse)
         t.find_consistency_defect()
         assert t.answers == asked
 
@@ -426,7 +461,7 @@ def _placed_pairs(t):
         for s2 in labels:
             sup2 = sorted(frozenset(s2.atoms()))
             for inj in partial_injections(sup2, sup1):
-                yield s1, s2.rename(_realize(inj, sup2, sup1))
+                yield s1, s2.rename(_realized(inj, sup2, sup1))
 
 
 def _reference_preorder(t):
@@ -483,8 +518,7 @@ class TestPatternComparison:
                     reference_defect = (s1, s2c, letter, e)
         assert checked
         assert frozenset(
-            (s1, s2.rename(placement))
-            for s1, s2, placement in t._ordered_pairs(t.s_labels())
+            (s1, _placed(s1, s2, inj)) for s1, s2, inj in t._ordered_pairs(t.s_labels())
         ) == frozenset(ordered)
         # Ak:2's table has a defect (test_known_inconsistent_fixture)
         assert t.find_consistency_defect() == reference_defect
@@ -541,7 +575,7 @@ def _verdict(t, s1, s2c):
 
 
 def _reference_ordered_pairs(t, labels):
-    """`_ordered_pairs` as the full listing: every placement of every
+    """`_ordered_pairs` as the full listing: every injection of every
     label pair is decided by `placed_leq`, in `partial_injections` order."""
     for s1 in labels:
         sup1 = sorted(frozenset(s1.atoms()))
@@ -552,7 +586,7 @@ def _reference_ordered_pairs(t, labels):
             for inj in partial_injections(sup2, sup1):
                 land = landing([inj.get(b) for b in r2.support], r1.support)
                 if placed_leq(r1, r2, tuple(sorted((i, j) for j, i in land))):
-                    yield s1, s2, _realize(inj, sup2, sup1)
+                    yield s1, s2, tuple(inj.items())
 
 
 class TestAtomTablesInSearches:
@@ -619,7 +653,7 @@ class TestExtensionClasses:
             for s2 in labels:
                 sup2 = sorted(frozenset(s2.atoms()))
                 for n, inj in enumerate(partial_injections(sup2, sup1)):
-                    s2c = s2.rename(_realize(inj, sup2, sup1))
+                    s2c = s2.rename(_realized(inj, sup2, sup1))
                     key = (classes[s1], classes[s2], n)
                     verdict = _verdict(t, s1, s2c)
                     assert verdicts.setdefault(key, verdict) == verdict, (
@@ -687,7 +721,7 @@ class TestCanonicalCells:
         tables = []
         fill = ObservationTable.fill
 
-        def spy(self, oracle=None):
+        def spy(self, oracle):
             tables.append(self)
             return fill(self, oracle)
 
@@ -741,8 +775,7 @@ def _reference_agreement_violations(table, hyp):
 class TestBuildHypothesis:
     def test_star_language_hypothesis(self):
         alph = A1
-        t = ObservationTable(alph, oracle=MembershipOracle(alph, predicate=lambda w: True))
-        t.fill()
+        t = ObservationTable(alph).fill(MembershipOracle(alph, predicate=lambda w: True))
         hyp = t.build_hypothesis()
         aut = hyp.automaton
         assert len(aut.states) == 1
@@ -857,19 +890,13 @@ class TestTableEquivariance:
         renaming produces byte-identical canonical answers."""
         entry = corpus.get("Lngr")
         perm = {0: 5, 1: 6, 2: 7, 5: 0, 6: 1, 7: 2}
-        plain = ObservationTable(
-            A1, oracle=MembershipOracle(A1, predicate=entry.predicate)
-        )
-        renamed = ObservationTable(
-            A1,
-            oracle=MembershipOracle(
-                A1, predicate=lambda w: entry.predicate(w.rename(perm))
-            ),
-        )
-        for t in (plain, renamed):
+        tables = []
+        for predicate in (entry.predicate, lambda w: entry.predicate(w.rename(perm))):
+            t = ObservationTable(A1)
             t.columns.add(parse_word("a(0) a(1)"))
             t.length = 2
-            t.fill()
+            tables.append(t.fill(MembershipOracle(A1, predicate=predicate)))
+        plain, renamed = tables
         assert plain.answers == renamed.answers
 
 
@@ -984,7 +1011,7 @@ class TestLearnLoop:
         deadlines = []
         fill = ObservationTable.fill
 
-        def spy(self, oracle=None):
+        def spy(self, oracle):
             deadlines.append(self.deadline)
             return fill(self, oracle)
 

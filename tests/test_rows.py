@@ -14,6 +14,7 @@ from nomres.rows import (
     _atom_classes,
     _atom_tables,
     _survivors,
+    _swap,
     dedup_by_orbit,
     in_family_orbit,
     is_generated_by,
@@ -181,6 +182,17 @@ class TestRowOrder:
         with pytest.raises(ColumnError):
             r.entries
 
+    def test_stale_row_repr_names_it_stale(self):
+        cs = ColumnSet()
+        r = Row.build(parse_word("a(0)"), cs, lambda e: True)
+        assert repr(r) == "Row('a(0)': {eps: 1})"
+        cs.add(parse_word("a(0)"))
+        assert repr(r) == "Row('a(0)': stale)"
+        with pytest.raises(ColumnError):
+            r.render()
+        with pytest.raises(ColumnError):
+            r.value(EMPTY_WORD)
+
     @pytest.mark.parametrize("compare", [row_leq, row_eq], ids=["leq", "eq"])
     def test_rows_over_different_column_sets_are_refused(self, compare):
         # both rows hold eps; r2's basis also has a(0) on a fresh atom,
@@ -242,7 +254,7 @@ def reference_orbit_key(r):
     r = r.reduced()
     n = len(r.support)
     return n, min(
-        spread_bits(r.bits, r.columns.placement_map(n, n, tuple(enumerate(image)))[0])
+        spread_bits(r.bits, r.columns.placement_map(n, n, tuple(enumerate(image))))
         for image in itertools.permutations(range(n))
     )
 
@@ -252,11 +264,11 @@ def filled_table(name, length, columns):
     oracle = MembershipOracle(
         entry.automaton.alphabet, predicate=entry.predicate, name=name
     )
-    t = ObservationTable(entry.automaton.alphabet, oracle=oracle)
+    t = ObservationTable(entry.automaton.alphabet)
     for c in columns:
         t.columns.add(parse_word(c))
     t.length = length
-    return t.fill()
+    return t.fill(oracle)
 
 
 # Ln's rows keep their supports once E holds a(0) a(0); at E = {eps}
@@ -612,6 +624,11 @@ def reference_placement_map(cs, n1, n2, pattern, shapes=reference_shapes):
     return tuple(up), tuple(down)
 
 
+def inverse(pattern):
+    """The placement pattern that places the other way."""
+    return tuple(sorted((j, i) for i, j in pattern))
+
+
 def spread_bits(bits, up):
     """The union of ``up[i]`` over the set bits i of ``bits``, reading
     only those entries, so that it takes a reference tuple as well as a
@@ -661,7 +678,8 @@ class TestPlacementMaps:
             width1, width2 = len(cs.instances(range(n1))), len(cs.instances(range(n2)))
             for inj in partial_injections(range(n1), range(n2)):
                 pattern = tuple(inj.items())
-                up, down = cs.placement_map(n1, n2, pattern)
+                up = cs.placement_map(n1, n2, pattern)
+                down = cs.placement_map(n2, n1, inverse(pattern))
                 ref_up, ref_down = reference_placement_map(cs, n1, n2, pattern)
                 assert len(ref_up) == width1 and len(ref_down) == width2
                 for i in range(width1):
@@ -682,8 +700,9 @@ class TestPlacementMaps:
 
     @pytest.mark.parametrize("columns", PLACEMENT_COLUMNS, ids=PLACEMENT_IDS)
     def test_failing_check_builds_only_what_it_reads(self, columns):
-        # a failing inclusion check reads up[i] for set bits i of r1 until
-        # one meets a position outside r2, and never reads down
+        # a failing inclusion check reads entry i of its map for set bits
+        # i of r1 until one meets a position outside r2, and builds no map
+        # of the inverse pattern
         cs = columns()
         rows = random_rows_any_density(random.Random(67), cs, 24)
         failed = 0
@@ -692,11 +711,41 @@ class TestPlacementMaps:
                 continue
             cs._maps.clear()
             assert not placed_leq(r1, r2, pattern)
-            up, down = cs.placement_map(len(r1.support), len(r2.support), pattern)
-            assert not down, (r1, r2, pattern)
-            assert 0 < len(up) <= r1.bits.bit_count(), (r1, r2, pattern)
+            key = (len(r1.support), len(r2.support), pattern)
+            assert list(cs._maps) == [key], (r1, r2, pattern)
+            assert 0 < len(cs._maps[key]) <= r1.bits.bit_count(), (r1, r2, pattern)
             failed += 1
         assert failed
+
+    @pytest.mark.parametrize("columns", PLACEMENT_COLUMNS, ids=PLACEMENT_IDS)
+    def test_equality_is_both_one_way_checks(self, columns):
+        cs = columns()
+        rows = random_rows_any_density(random.Random(61), cs, 14)
+        equal = 0
+        for r1, r2, pattern, _, _ in placed_pairs(rows):
+            both = placed_leq(r1, r2, pattern) and placed_leq(r2, r1, inverse(pattern))
+            assert placed_leq(r1, r2, pattern, equal=True) == both, (r1, r2, pattern)
+            equal += both
+        assert equal
+
+    @pytest.mark.parametrize("columns", PLACEMENT_COLUMNS, ids=PLACEMENT_IDS)
+    def test_symmetric_equality_tests_read_one_map(self, columns):
+        # a swap and the pattern of `_removable` are their own inverses, so
+        # an equality test on them reads one map in both directions
+        cs = columns()
+        rows = random_rows_any_density(random.Random(37), cs, 24)
+        passed = 0
+        for r in rows:
+            n = len(r.support)
+            for a, b in itertools.combinations(range(n), 2):
+                cs._maps.clear()
+                passed += placed_leq(r, r, _swap(n, a, b), equal=True)
+                assert list(cs._maps) == [(n, n, _swap(n, a, b))], (r, a, b)
+            for a in r.support:
+                cs._maps.clear()
+                passed += r._removable(a)
+                assert len(cs._maps) == 1, (r, a)
+        assert passed
 
     def test_add_clears_flat_maps(self):
         cs = columns_upto("a(0) a(1)")
@@ -734,8 +783,8 @@ def reference_survivors(t, family, strict):
                 continue
             if strict and placed_leq(y, t, pattern, equal=True):
                 continue
-            up, _ = t.columns.placement_map(len(y.support), len(t.support), pattern)
-            yield spread_bits(y.bits, up)
+            flat = t.columns.placement_map(len(y.support), len(t.support), pattern)
+            yield spread_bits(y.bits, flat)
 
 
 def random_rows_any_density(rng, cs, count):
